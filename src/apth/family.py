@@ -14,19 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from math import floor
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .progressions import (
-    Progression,
-    _check_k,
-    _check_n,
-    contained_in,
-    elements,
-)
+import numpy as np
 
-#: is_almost_disjoint switches from the pairwise merge to the inverted-index
-#: algorithm at this member count.
+from .progressions import Progression, _check_k, _check_n, contained_in
+
+#: Member count at which the benchmark splits small-family from
+#: large-family check times.  It selects no algorithm: every family takes
+#: the same sorted pair-key pass in ``is_almost_disjoint``.
 ALL_PAIRS_FALLBACK = 1000
 
 
@@ -181,71 +178,54 @@ def large_diff_family_size(k: int, n: int) -> int:
     return _LargeDiffMembers(k, n)._count_upto(n)
 
 
+def _pair_keys(family: APFamily, members: Sequence[Progression]) -> np.ndarray:
+    """The C(k, 2) keys x*(n+1)+y of the element pairs x < y of every
+    member, one row per member.
+
+    When (n+1)^2 would overflow int64 (n past ~3e9), the elements are first
+    replaced by their ranks among all member elements: ranks keep equality,
+    and equality is all the keys are compared by.
+    """
+    k, m = family.k, len(members)
+    elems = np.empty((m, k), dtype=np.int64)
+    np.multiply(
+        np.fromiter((p.diff for p in members), np.int64, m)[:, None],
+        np.arange(k, dtype=np.int64),
+        out=elems,
+    )
+    elems += np.fromiter((p.start for p in members), np.int64, m)[:, None]
+    base = family.n + 1
+    if base * base >= 1 << 63:
+        ranked, inverse = np.unique(elems, return_inverse=True)
+        elems, base = inverse.reshape(m, k), len(ranked)
+    x, y = np.triu_indices(k, 1)
+    keys = elems[:, x]
+    keys *= base
+    keys += elems[:, y]
+    return keys
+
+
 def is_almost_disjoint(
     family: APFamily,
 ) -> tuple[bool, tuple[Progression, Progression] | None]:
     """Check that every two distinct members share at most one element.
 
-    Returns (True, None) or (False, witness_pair).  Small families run an
-    all-pairs merge; past ``ALL_PAIRS_FALLBACK`` members an element-indexed
-    inverted index counts member-pair co-occurrences instead, declaring a
-    violation as soon as any pair co-occurs at two elements.
-
-    Both paths screen pairs arithmetically first: two shared elements of
-    progressions with differences d1, d2 are at least lcm(d1, d2) apart but
-    at most (k-1)*min(d1, d2) apart, so a pair with
-    lcm > (k-1)*min can never overlap twice and needs no further work.
-    This screen eliminates almost every cross-difference pair of the
-    large-difference families, whose d values sit in a narrow band.
+    Returns (True, None) or (False, witness_pair).  Members are distinct,
+    so two of them share two elements exactly when some element pair
+    {x < y} is covered twice: the C(k, 2) pair keys of all members are
+    sorted together and any equal neighbours are a violation.  The two
+    members owning the smallest repeated key are the witness, looked up
+    only on failure.
     """
     members = list(family)
-    m = len(members)
-    k = family.k
-    diffs = [p.diff for p in members]
-
-    def survives_screen(i: int, j: int) -> bool:
-        di, dj = diffs[i], diffs[j]
-        return di // gcd(di, dj) * dj <= (k - 1) * min(di, dj)
-
-    if m < ALL_PAIRS_FALLBACK:
-        elems = [tuple(elements(p)) for p in members]
-        for i in range(m):
-            ei = elems[i]
-            for j in range(i + 1, m):
-                if not survives_screen(i, j):
-                    continue
-                ej = elems[j]
-                shared = a = b = 0
-                while a < k and b < k:
-                    if ei[a] == ej[b]:
-                        shared += 1
-                        if shared == 2:
-                            return False, (members[i], members[j])
-                        a += 1
-                        b += 1
-                    elif ei[a] < ej[b]:
-                        a += 1
-                    else:
-                        b += 1
+    keys = _pair_keys(family, members).ravel()
+    keys.sort()
+    repeated = keys[1:] == keys[:-1]
+    if not repeated.any():
         return True, None
-
-    by_element: dict[int, list[int]] = {}
-    for idx, p in enumerate(members):
-        for e in elements(p):
-            by_element.setdefault(e, []).append(idx)
-    seen_pairs: set[int] = set()
-    for owners in by_element.values():
-        for a in range(len(owners)):
-            i = owners[a]
-            for b in range(a + 1, len(owners)):
-                j = owners[b]
-                if not survives_screen(i, j):
-                    continue  # one shared element is all this pair can have
-                key = i * m + j
-                if key in seen_pairs:
-                    return False, (members[i], members[j])
-                seen_pairs.add(key)
-    return True, None
+    owners = (_pair_keys(family, members) == keys[repeated.argmax()]).any(axis=1)
+    i, j = np.flatnonzero(owners)[:2]
+    return False, (members[i], members[j])
 
 
 GreedyOrder = Literal["lex_by_diff_start", "lex_by_start_diff"]
@@ -260,11 +240,12 @@ def greedy_max_family(
     """Greedily grow an almost-disjoint family over all k-APs in [1, n].
 
     Scans every k-AP in the chosen order and inserts each one that keeps
-    the family almost disjoint.  The check is incremental: each element
-    keeps a bitmask of the member ids containing it, and a candidate is
-    admissible iff no member id appears under two of its elements.  With
-    ``seed_with_large_diff`` the large-difference family is inserted first,
-    so the result size is at least ``large_diff_family_size(k, n)``.
+    the family almost disjoint.  A byte per element pair {x < y}, indexed
+    by the key x*(n+1)+y, records whether a member covers it; a candidate
+    is admissible iff none of its C(k, 2) pairs is covered yet, so the
+    table takes (n+1)^2 bytes.  With ``seed_with_large_diff`` the
+    large-difference family is inserted first, so the result size is at
+    least ``large_diff_family_size(k, n)``.
 
     The scan order is part of the contract: it pins the result, making
     density figures reproducible across runs and platforms.
@@ -274,30 +255,25 @@ def greedy_max_family(
     if order not in ("lex_by_diff_start", "lex_by_start_diff"):
         raise ValueError(f"unknown scan order {order!r}")
 
-    member_bits = [0] * (n + 2)  # element -> bitmask of member ids
+    covered = bytearray((n + 1) ** 2)
+    # key of the pair (a + i*d, a + j*d) is a*(n+2) + d*(i*(n+1) + j)
+    offsets = [i * (n + 1) + j for i in range(k) for j in range(i + 1, k)]
     accepted: list[Progression] = []
-    in_family: set[tuple[int, int]] = set()
 
     def try_insert(a: int, d: int) -> None:
-        es = range(a, a + k * d, d)
-        clash = 0
-        for i, x in enumerate(es):
-            mx = member_bits[x]
-            if mx:
-                for y in es[i + 1 :]:
-                    clash |= mx & member_bits[y]
-            if clash:
+        base = a * (n + 2)
+        for c in offsets:
+            if covered[base + d * c]:
                 return
-        bit = 1 << len(accepted)
-        for x in es:
-            member_bits[x] |= bit
+        for c in offsets:
+            covered[base + d * c] = 1
         accepted.append(Progression(a, d, k))
-        in_family.add((a, d))
 
     if seed_with_large_diff:
         for p in large_diff_family(k, n):
             try_insert(p.start, p.diff)
 
+    # a member covers its own pairs, so the scan rejects it a second time
     d_cap = (n - 1) // (k - 1) if n >= k else 0
     if order == "lex_by_diff_start":
         scan = (
@@ -312,8 +288,7 @@ def greedy_max_family(
             for d in range(1, (n - a) // (k - 1) + 1)
         )
     for a, d in scan:
-        if (a, d) not in in_family:
-            try_insert(a, d)
+        try_insert(a, d)
 
     return APFamily(k, n, accepted, certified_almost_disjoint=True)
 

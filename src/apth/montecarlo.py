@@ -37,7 +37,16 @@ _CHUNK_WORDS = 1 << 18
 
 
 def _chunk_size(nwords: int) -> int:
-    return max(512, min(16384, _CHUNK_WORDS // nwords))
+    """Rows per generation buffer: as many as fit in ``_CHUNK_WORDS``, down
+    to one, and at most 16384.  A row larger than the whole budget is
+    refused, so the buffer stays bounded whatever n is."""
+    rows = min(16384, _CHUNK_WORDS // nwords)
+    if rows < 1:
+        raise ValueError(
+            f"a coloring of {nwords} words exceeds the {_CHUNK_WORDS}-word "
+            f"generation buffer; n must be at most {64 * _CHUNK_WORDS}"
+        )
+    return rows
 
 #: Normal quantile for 95% two-sided coverage.
 _Z95 = 1.959963984540054

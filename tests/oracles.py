@@ -63,3 +63,23 @@ def naive_pair_count(p: tuple[int, ...], q: tuple[int, ...], s: int) -> int:
     return sum(
         is_mono(bits, p) and is_mono(bits, q) for bits in range(1 << s)
     )
+
+
+def naive_greedy(k: int, n: int, seeded: bool = False,
+                 order: str = "lex_by_diff_start") -> list[tuple[int, int]]:
+    """Greedy almost-disjoint family as (start, diff) pairs: offer the
+    large-difference members (n <= k d, (k-1) d < n) first when seeded,
+    then every k-AP in scan order, keeping each one that meets every kept
+    member in at most one element.  Sorted by (start, diff)."""
+    aps = ap_tuples(k, n)
+    if order == "lex_by_start_diff":
+        aps = sorted(aps, key=lambda ap: (ap[0], ap[1] - ap[0]))
+    seed = [
+        ap for ap in ap_tuples(k, n)
+        if seeded and k * (ap[1] - ap[0]) >= n > (k - 1) * (ap[1] - ap[0])
+    ]
+    kept = []
+    for ap in seed + aps:
+        if all(len(set(ap) & set(q)) <= 1 for q in kept):
+            kept.append(ap)
+    return sorted((ap[0], ap[1] - ap[0]) for ap in kept)

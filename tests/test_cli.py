@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from apth import __version__
+from apth import __version__, montecarlo
 from apth.cli import (
     main,
     read_count,
@@ -235,6 +235,14 @@ class TestErrorDiscipline:
         code, _, err = run(capsys, "simulate", "--k", "3", "--n", "5",
                            "--samples", "-4")
         assert code == 2 and "--samples" in err
+
+    def test_row_beyond_buffer_is_usage_error(self, capsys, monkeypatch):
+        # a 4-word budget stands in for an n too wide for the real one
+        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 4)
+        code, out, err = run(capsys, "simulate", "--k", "3", "--n", "300",
+                             "--samples", "10")
+        assert code == 2 and out == ""
+        assert "generation buffer" in err
 
 
 class TestOutFile:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from apth.family import (
 )
 from apth.progressions import Progression, elements, intersection_size
 
-from oracles import ap_tuples
+from oracles import ap_tuples, naive_greedy
 
 
 def brute_family_members(k, n):
@@ -27,6 +28,27 @@ def brute_family_members(k, n):
         if Fraction(n, k) <= d < Fraction(n, k - 1):
             out.append((ap[0], d))
     return out
+
+
+def overlapping_3aps(p, n):
+    """Every 3-AP in [1, n] other than p through two elements of p."""
+    out = set()
+    for x, y in combinations(elements(p), 2):
+        for i, j in ((0, 1), (0, 2), (1, 2)):  # positions of x and y
+            if (y - x) % (j - i) == 0:
+                d = (y - x) // (j - i)
+                start = x - i * d
+                inside = start >= 1 and start + 2 * d <= n
+                if inside and (start, d) != (p.start, p.diff):
+                    out.add(Progression(start, d, 3))
+    return out
+
+
+#: One-overlap plants for large_diff_family(3, 300), sorted for Hypothesis.
+PLANTS_300 = sorted(
+    {q for p in large_diff_family(3, 300) for q in overlapping_3aps(p, 300)},
+    key=lambda q: (q.diff, q.start),
+)
 
 
 class TestLargeDiffFamily:
@@ -119,8 +141,8 @@ class TestAlmostDisjoint:
         assert is_almost_disjoint(APFamily(3, 5, [])) == (True, None)
 
     def test_inverted_index_path_agrees_with_pairwise(self):
-        # large_diff_family(3, 300) exceeds the all-pairs fallback bound,
-        # so this exercises the inverted-index branch on a true family
+        # large_diff_family(3, 300) is a true family of more than
+        # ALL_PAIRS_FALLBACK members; the sorted pair-key pass must pass it
         big = large_diff_family(3, 300)
         assert len(big) >= 1000
         assert is_almost_disjoint(big)[0]
@@ -150,7 +172,36 @@ class TestAlmostDisjoint:
             for i, p in enumerate(members)
             for q in members[i + 1 :]
         )
-        assert is_almost_disjoint(fam)[0] == expected
+        ok, witness = is_almost_disjoint(fam)
+        assert ok == expected
+        if not ok:
+            p, q = witness
+            assert p != q and p in members and q in members
+            assert intersection_size(p, q) >= 2
+
+    @given(st.sampled_from(PLANTS_300))
+    @settings(max_examples=40, deadline=None)
+    def test_planted_overlap_witnessed(self, plant):
+        planted = APFamily(3, 300, list(large_diff_family(3, 300)) + [plant])
+        ok, witness = is_almost_disjoint(planted)
+        assert not ok
+        p, q = witness
+        assert p != q and p in planted.members and q in planted.members
+        assert intersection_size(p, q) >= 2
+
+    def test_keys_safe_at_the_element_cap(self):
+        n = 1 << 40  # x*(n+1)+y overflows int64 here
+        p = Progression(1, 1 << 38, 3)  # 1, 1+2^38, 1+2^39
+        two = Progression(1, 1 << 37, 3)  # shares 1 and 1+2^38 with p
+        ok, witness = is_almost_disjoint(APFamily(3, n, [p, two]))
+        assert not ok and set(witness) == {p, two}
+        one = Progression(1, (1 << 38) + 1, 3)  # shares only 1 with p
+        assert is_almost_disjoint(APFamily(3, n, [p, one])) == (True, None)
+        # disjoint members whose pair keys agree modulo 2^64:
+        # (1+2^24, 1+2^30) and (1, 1+2^30+2^24)
+        q = Progression(1 + (1 << 24), (1 << 30) - (1 << 24), 3)
+        r = Progression(1, (1 << 30) + (1 << 24), 3)
+        assert is_almost_disjoint(APFamily(3, n, [q, r])) == (True, None)
 
 
 class TestGreedy:
@@ -186,6 +237,15 @@ class TestGreedy:
         assert is_almost_disjoint(by_diff)[0]
         assert is_almost_disjoint(by_start)[0]
 
+    @pytest.mark.parametrize("order", ["lex_by_diff_start", "lex_by_start_diff"])
+    @pytest.mark.parametrize("seeded", [False, True])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_matches_naive_oracle(self, k, seeded, order):
+        for n in range(1, 37):
+            fam = greedy_max_family(k, n, seed_with_large_diff=seeded, order=order)
+            got = sorted((p.start, p.diff) for p in fam)
+            assert got == naive_greedy(k, n, seeded, order), (n,)
+
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError):
             greedy_max_family(3, 10, order="by_moon_phase")
@@ -203,6 +263,8 @@ class TestDensity:
 
     def test_greedy_beats_construction_density(self):
         fam = greedy_max_family(3, 1000, seed_with_large_diff=True)
+        assert len(fam) == 116895
+        assert is_almost_disjoint(fam) == (True, None)
         d = family_density(fam)
         assert 1 / 9 < d <= 0.485
 

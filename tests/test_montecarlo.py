@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apth import montecarlo
 from apth.errors import SearchCeilingError
 from apth.montecarlo import (
     ProbEstimate,
@@ -105,6 +106,35 @@ class TestEstimateProb:
             assert est.p_hat <= bound + 3 * standard_error(
                 max(est.p_hat, 1e-9), est.samples
             ), (k, n)
+
+
+class TestChunkBudget:
+    def test_sizes_up_to_512_words(self):
+        assert montecarlo._chunk_size(1) == 16384
+        assert montecarlo._chunk_size(16) == 16384
+        assert montecarlo._chunk_size(17) == (1 << 18) // 17
+        assert montecarlo._chunk_size(512) == 512
+
+    def test_shrinks_to_one_row_then_refuses(self):
+        assert montecarlo._chunk_size(513) == (1 << 18) // 513
+        assert montecarlo._chunk_size(1 << 18) == 1
+        with pytest.raises(ValueError, match="generation buffer"):
+            montecarlo._chunk_size((1 << 18) + 1)
+
+    def test_one_row_chunks_keep_estimates(self, monkeypatch):
+        # n=300 takes 5 words, so a 5-word budget leaves one sample a chunk
+        ref = estimate_prob(12, 300, 120, 3)
+        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 5)
+        assert montecarlo._chunk_size(5) == 1
+        assert estimate_prob(12, 300, 120, 3) == ref
+        assert estimate_prob(12, 300, 120, 3, workers=2) == ref
+        assert 0 < ref.successes < ref.samples
+
+    def test_tiny_budget_rejects_wide_rows(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 4)
+        with pytest.raises(ValueError, match="n must be at most 256"):
+            estimate_prob(12, 300, 10, 3)
+        assert estimate_prob(3, 256, 10, 3).samples == 10
 
 
 class TestThresholdSearch:
