@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from .coloring import (
     Coloring,
     RandomStream,
+    batch_first_hit,
     batch_has_mono_ap,
     count_mono_aps,
     has_mono_ap,
@@ -84,6 +85,7 @@ __all__ = [
     "ScalingRow",
     "SearchCeilingError",
     "ThresholdResult",
+    "batch_first_hit",
     "batch_has_mono_ap",
     "block_count",
     "block_plan",

@@ -10,7 +10,10 @@ ANDs instead of k-1.
 Two equivalent kernels are provided: an arbitrary-precision-integer one for
 single colorings, and a numpy uint64 batch one used by the Monte Carlo
 engine.  Their agreement (and agreement with a direct scan over
-``enumerate_aps``) is asserted by the test suite.
+``enumerate_aps``) is asserted by the test suite.  The batch kernel also
+reports each row's first-hit time, the smallest last element of any
+monochromatic k-AP, which answers detection on every prefix [1, n'] at
+once.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from .family import APFamily
 WORD_BITS = 64
 
 _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: ``batch_first_hit`` value of a row with no monochromatic k-AP.
+NO_HIT = np.iinfo(np.int64).max
 
 
 def _word_count(n: int) -> int:
@@ -272,3 +278,53 @@ def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
             if active_rows.size == 0:
                 break
     return found
+
+
+def batch_first_hit(words: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Per row, the smallest last element of a monochromatic k-AP in [1, n],
+    or ``NO_HIT`` if there is none, as an int64 vector.
+
+    Rows are laid out as for ``batch_has_mono_ap``, and d is scanned in the
+    same order.  At each d the lowest set bit of the run mask is the
+    earliest start, so its AP ends first.  A hit row keeps scanning while a
+    larger d could still end earlier, and retires once (k-1)(d+1)+1, the
+    smallest last element at the next d, reaches its best.  Since the
+    coloring of [1, n'] is a prefix of the coloring of [1, n],
+    ``batch_first_hit(words, n, k) <= n'`` is detection on [1, n'] for
+    every n' <= n.
+    """
+    _check_k(k)
+    _check_n(n)
+    nrows, nwords = words.shape
+    if nwords != _word_count(n):
+        raise ValueError(f"expected {_word_count(n)} words per row for n={n}")
+    first = np.full(nrows, NO_HIT, dtype=np.int64)
+    if n < k:
+        return first
+    full = np.full(nwords, _FULL_WORD, dtype=np.uint64)
+    full[-1] = _pad_mask(n)
+    active = words
+    active_rows = np.arange(nrows)
+    best = first.copy()
+    for d in range(1, (n - 1) // (k - 1) + 1):
+        runs = _batch_run_starts(active, d, k) | _batch_run_starts(active ^ full, d, k)
+        nonzero = runs != 0
+        hit = np.flatnonzero(nonzero.any(axis=1))
+        if hit.size:
+            col = nonzero[hit].argmax(axis=1)
+            word = runs[hit, col]
+            # trailing zeros of the lowest nonzero word: the start's bit
+            low = np.bitwise_count(~word & (word - np.uint64(1)))
+            last = col * WORD_BITS + low.astype(np.int64) + 1 + (k - 1) * d
+            best[hit] = np.minimum(best[hit], last)
+        done = best <= (k - 1) * (d + 1) + 1
+        if done.any():
+            first[active_rows[done]] = best[done]
+            keep = ~done
+            active = active[keep]
+            active_rows = active_rows[keep]
+            best = best[keep]
+            if active_rows.size == 0:
+                break
+    first[active_rows] = best
+    return first

@@ -26,6 +26,10 @@ from .progressions import Progression, _check_k, _check_n, contained_in
 #: the same sorted pair-key pass in ``is_almost_disjoint``.
 ALL_PAIRS_FALLBACK = 1000
 
+#: Largest n ``greedy_max_family`` accepts: its pair table takes (n+1)^2
+#: bytes (268 MB here) and its scan is quadratic in n.
+GREEDY_MAX_N = 1 << 14
+
 
 def _diff_bounds(k: int, n: int) -> tuple[int, int]:
     """Integer d range for n/k <= d < n/(k-1), as exact comparisons.
@@ -243,7 +247,8 @@ def greedy_max_family(
     the family almost disjoint.  A byte per element pair {x < y}, indexed
     by the key x*(n+1)+y, records whether a member covers it; a candidate
     is admissible iff none of its C(k, 2) pairs is covered yet, so the
-    table takes (n+1)^2 bytes.  With ``seed_with_large_diff`` the
+    table takes (n+1)^2 bytes; n above ``GREEDY_MAX_N`` is refused before
+    anything is allocated.  With ``seed_with_large_diff`` the
     large-difference family is inserted first, so the result size is at
     least ``large_diff_family_size(k, n)``.
 
@@ -254,6 +259,11 @@ def greedy_max_family(
     _check_n(n)
     if order not in ("lex_by_diff_start", "lex_by_start_diff"):
         raise ValueError(f"unknown scan order {order!r}")
+    if n > GREEDY_MAX_N:
+        raise ValueError(
+            f"greedy search needs an (n+1)^2-byte pair table; n={n} exceeds "
+            f"the cap n <= {GREEDY_MAX_N}"
+        )
 
     covered = bytearray((n + 1) ** 2)
     # key of the pair (a + i*d, a + j*d) is a*(n+2) + d*(i*(n+1) + j)

@@ -2,7 +2,7 @@
 threshold location in n, and scaling reports.
 
 Reproducibility contract: sample i always draws its coloring from the word
-stream keyed by (seed, i).  Workers claim fixed chunks of the sample index
+stream keyed by (seed, i).  Workers claim fixed ranges of the sample index
 range and the only aggregation is a sum of successes, so estimates are
 bit-identical for every worker count.  A second consequence: estimates at
 different n under one seed are coupled through shared streams, and since a
@@ -10,6 +10,14 @@ coloring of [1, n] is a prefix of the coloring of [1, n'] for n' > n, the
 estimated probability is *exactly* nondecreasing in n at fixed sample count.
 That, plus monotonicity of the true probability (verified exactly at small
 scale in :mod:`apth.probability`), is what makes bisection on n sound.
+
+The coupling also makes the estimate an exact empirical CDF: with N_i the
+first-hit time of sample i (the smallest last element of a monochromatic
+k-AP in its coloring), p_hat(n) over m samples is #{i < m : N_i <= n} / m.
+``threshold_search`` therefore computes N_i once per sample, up to a
+horizon a little past the point that asked for it, and answers every
+search point from those times; it recomputes a sample only when a later
+point lies beyond the horizon of a sample still without a hit.
 """
 
 from __future__ import annotations
@@ -21,19 +29,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _philox
-from .coloring import _pad_mask, _word_count, batch_has_mono_ap
+from .coloring import (
+    NO_HIT,
+    _pad_mask,
+    _word_count,
+    batch_first_hit,
+    batch_has_mono_ap,
+)
 from .errors import SearchCeilingError
 from .progressions import _check_k, _check_n
 from .probability import threshold_scale_lower
 
-#: Hard ceiling for threshold bracketing.
-DEFAULT_SEARCH_CEILING = 1 << 32
-
 #: Word budget per generation buffer (~2 MB), sized to keep each task's
-#: working set cache-resident at large n.  Chunk boundaries depend only on
-#: n, never on the worker count, and cannot influence results anyway:
+#: working set cache-resident at large n.  Ranges never influence results:
 #: sample i is keyed by its absolute index.
 _CHUNK_WORDS = 1 << 18
+
+#: Hard ceiling for threshold bracketing: the widest coloring one
+#: generation buffer holds, so a runaway search stops with
+#: SearchCeilingError before the estimates refuse the row width.
+DEFAULT_SEARCH_CEILING = 64 * _CHUNK_WORDS
+
+
+def _max_n() -> int:
+    """Widest coloring a generation buffer holds (``_CHUNK_WORDS`` is read
+    at call time, so tests can shrink it)."""
+    return 64 * _CHUNK_WORDS
 
 
 def _chunk_size(nwords: int) -> int:
@@ -44,9 +65,28 @@ def _chunk_size(nwords: int) -> int:
     if rows < 1:
         raise ValueError(
             f"a coloring of {nwords} words exceeds the {_CHUNK_WORDS}-word "
-            f"generation buffer; n must be at most {64 * _CHUNK_WORDS}"
+            f"generation buffer; n must be at most {_max_n()}"
         )
     return rows
+
+
+def _ranges(samples: int, chunk: int, workers: int) -> list[tuple[int, int]]:
+    """Split [0, samples) into ranges of at most ``chunk`` rows and at most
+    a worker's share, ceil(samples / workers), so a batch that fits one
+    chunk still spreads over the threads.  With one worker the ranges are
+    whole chunks."""
+    size = min(chunk, -(-samples // workers))
+    return [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
+
+
+def _map(fn, ranges: list[tuple[int, int]], workers: int) -> list:
+    """``fn(lo, hi)`` for every range, in order, on up to ``workers``
+    threads."""
+    if workers == 1 or len(ranges) == 1:
+        return [fn(lo, hi) for lo, hi in ranges]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda r: fn(*r), ranges))
+
 
 #: Normal quantile for 95% two-sided coverage.
 _Z95 = 1.959963984540054
@@ -161,12 +201,29 @@ class ScalingReport:
     seed: int
 
 
-def _count_chunk(k: int, n: int, seed: int, lo: int, hi: int) -> int:
-    nwords = _word_count(n)
-    ids = np.arange(lo, hi, dtype=np.uint64)
-    words = _philox.words(seed, ids, nwords)
+def _colorings(seed: int, ids: np.ndarray, n: int) -> np.ndarray:
+    """Packed colorings of [1, n] drawn from streams (seed, i), i in ids."""
+    words = _philox.words(seed, ids, _word_count(n))
     words[:, -1] &= _pad_mask(n)
+    return words
+
+
+def _count_chunk(k: int, n: int, seed: int, lo: int, hi: int) -> int:
+    words = _colorings(seed, np.arange(lo, hi, dtype=np.uint64), n)
     return int(np.count_nonzero(batch_has_mono_ap(words, n, k)))
+
+
+def _first_hits(
+    k: int, n: int, seed: int, ids: np.ndarray, workers: int
+) -> np.ndarray:
+    """``batch_first_hit`` of the colorings of [1, n] of samples ``ids``,
+    computed in generation-buffer ranges."""
+    chunk = _chunk_size(_word_count(n))
+
+    def first(lo: int, hi: int) -> np.ndarray:
+        return batch_first_hit(_colorings(seed, ids[lo:hi], n), n, k)
+
+    return np.concatenate(_map(first, _ranges(ids.size, chunk, workers), workers))
 
 
 def estimate_prob(
@@ -186,16 +243,13 @@ def estimate_prob(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     chunk = _chunk_size(_word_count(n))
-    ranges = [
-        (lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)
-    ]
-    if workers == 1 or len(ranges) == 1:
-        successes = sum(_count_chunk(k, n, seed, lo, hi) for lo, hi in ranges)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(
-                pool.map(lambda r: _count_chunk(k, n, seed, *r), ranges)
-            )
+    successes = sum(
+        _map(
+            lambda lo, hi: _count_chunk(k, n, seed, lo, hi),
+            _ranges(samples, chunk, workers),
+            workers,
+        )
+    )
     return ProbEstimate.from_counts(k, n, samples, successes, seed)
 
 
@@ -205,7 +259,7 @@ def threshold_search(
     samples: int,
     seed: int,
     workers: int = 1,
-    ceiling: int = DEFAULT_SEARCH_CEILING,
+    ceiling: int | None = None,
 ) -> ThresholdResult:
     """Locate the n at which the estimated mono probability crosses target.
 
@@ -216,6 +270,15 @@ def threshold_search(
     would be wasted sampling.  If the Wilson intervals at both final
     endpoints still contain the target, the per-point budget is doubled
     (up to 8x) and the bracket re-verified before concluding.
+
+    Every point is answered from per-sample first-hit times (see the module
+    docstring), so the trace holds exactly the ``estimate_prob`` results
+    the points would give.  A sample is computed up to a horizon of
+    n + n//16 for the point n that needs it, so the bisection steps below
+    n reuse it; it is recomputed only if it has no hit by its horizon and
+    a later point lies beyond it.  ``ceiling`` defaults to
+    ``DEFAULT_SEARCH_CEILING``, the widest coloring a generation buffer
+    holds.
     """
     _check_k(k)
     if not 0.05 <= target <= 0.95:
@@ -225,13 +288,33 @@ def threshold_search(
         )
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    _philox.check_u64(seed, "seed")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if ceiling is None:
+        ceiling = _max_n()
     trace: list[tuple[int, ProbEstimate]] = []
     cache: dict[tuple[int, int], ProbEstimate] = {}
+    # first[i] is N_i wherever N_i <= horizon[i]; NO_HIT means N_i > horizon[i]
+    first = np.empty(0, dtype=np.int64)
+    horizon = np.empty(0, dtype=np.int64)
 
     def estimate(n: int, m: int) -> ProbEstimate:
+        nonlocal first, horizon
         key = (n, m)
         if key not in cache:
-            e = estimate_prob(k, n, m, seed, workers=workers)
+            _chunk_size(_word_count(n))  # refuse what estimate_prob refuses
+            if m > first.size:
+                grow = m - first.size
+                first = np.concatenate([first, np.full(grow, NO_HIT, np.int64)])
+                horizon = np.concatenate([horizon, np.full(grow, -1, np.int64)])
+            ids = np.flatnonzero((first[:m] == NO_HIT) & (horizon[:m] < n))
+            if ids.size:
+                h = min(n + n // 16, max(n, _max_n()))
+                first[ids] = _first_hits(k, h, seed, ids.astype(np.uint64), workers)
+                horizon[ids] = h
+            successes = int(np.count_nonzero(first[:m] <= n))
+            e = ProbEstimate.from_counts(k, n, m, successes, seed)
             cache[key] = e
             trace.append((n, e))
         return cache[key]
@@ -311,7 +394,7 @@ def scaling_report(
     samples: int,
     seed: int,
     workers: int = 1,
-    ceiling: int = DEFAULT_SEARCH_CEILING,
+    ceiling: int | None = None,
     k_budget: int = 20,
 ) -> ScalingReport:
     """Threshold locations for every k in [k_low, k_high] plus the

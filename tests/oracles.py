@@ -29,6 +29,12 @@ def naive_has_mono(bits: int, k: int, n: int) -> bool:
     return any(is_mono(bits, ap) for ap in ap_tuples(k, n))
 
 
+def naive_first_hit(bits: int, k: int, n: int) -> int | None:
+    """Smallest last element of a mono k-AP in [1, n], None if none."""
+    return min((ap[-1] for ap in ap_tuples(k, n) if is_mono(bits, ap)),
+               default=None)
+
+
 def naive_count_mono(bits: int, k: int, n: int) -> int:
     return sum(is_mono(bits, ap) for ap in ap_tuples(k, n))
 
@@ -83,3 +89,91 @@ def naive_greedy(k: int, n: int, seeded: bool = False,
         if all(len(set(ap) & set(q)) <= 1 for q in kept):
             kept.append(ap)
     return sorted((ap[0], ap[1] - ap[0]) for ap in kept)
+
+
+def estimate_driven_search(k, target, samples, seed, workers=1,
+                           ceiling=1 << 32):
+    """``threshold_search`` as it was before first-hit times: every point
+    runs ``estimate_prob`` from scratch.  Kept verbatim (argument checks
+    aside) as the reference the first-hit search must reproduce."""
+    from apth.errors import SearchCeilingError
+    from apth.montecarlo import ThresholdResult, estimate_prob
+    from apth.probability import threshold_scale_lower
+
+    trace = []
+    cache = {}
+
+    def estimate(n, m):
+        key = (n, m)
+        if key not in cache:
+            e = estimate_prob(k, n, m, seed, workers=workers)
+            cache[key] = e
+            trace.append((n, e))
+        return cache[key]
+
+    def p_hat(n, m):
+        return estimate(n, m).p_hat
+
+    def step(n):
+        return max(1, -(-n // 100))
+
+    def bisect(lo, hi, m):
+        while hi - lo > step(hi):
+            mid = (lo + hi) // 2
+            if p_hat(mid, m) >= target:
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+    m = samples
+    n0 = max(k, threshold_scale_lower(k, 1.0) // 4)
+    if p_hat(n0, m) >= target:
+        # already supercritical at the starting point: walk down
+        hi = n0
+        lo = n0
+        while p_hat(lo, m) >= target:  # reaches 0 at n = k-1 at the latest
+            hi = lo
+            lo = max(k - 1, lo // 2)
+    else:
+        lo = n0
+        while True:
+            if lo >= ceiling:
+                raise SearchCeilingError(k, target, ceiling)
+            hi = min(2 * lo, ceiling)
+            if p_hat(hi, m) >= target:
+                break
+            lo = hi
+
+    lo, hi = bisect(lo, hi, m)
+
+    while m < 8 * samples:
+        e_lo, e_hi = estimate(lo, m), estimate(hi, m)
+        undecided = (
+            e_lo.ci_low <= target <= e_lo.ci_high
+            and e_hi.ci_low <= target <= e_hi.ci_high
+        )
+        if not undecided:
+            break
+        m *= 2
+        # estimates move at the new budget; restore the bracket, re-bisect
+        while p_hat(lo, m) >= target:
+            hi = lo
+            lo = max(k - 1, lo - step(hi))
+        while p_hat(hi, m) < target:
+            lo = hi
+            if hi >= ceiling:
+                raise SearchCeilingError(k, target, ceiling)
+            hi = min(hi + step(hi), ceiling)
+        lo, hi = bisect(lo, hi, m)
+
+    return ThresholdResult(
+        k=k,
+        target=target,
+        n_star=hi,
+        bracket_low=lo,
+        bracket_high=hi,
+        samples_per_point=samples,
+        seed=seed,
+        trace=tuple(trace),
+    )

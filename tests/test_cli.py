@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -79,6 +80,18 @@ class TestEnumerateAndFamily:
         code, out, _ = run(capsys, "greedy", "--k", "3", "--n", "5")
         assert code == 0
         assert read_family_csv(out) == [(1, 1, 3), (3, 1, 3)]
+
+    def test_greedy_refuses_oversized_n(self, capsys):
+        # n=20000 would need a 400 MB pair table; nothing may be allocated
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "greedy", "--k", "3", "--n", "20000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error: 2:") and "pair table" in err
+        assert peak < 1 << 20
 
 
 class TestExactAndDist:
@@ -195,6 +208,15 @@ class TestSweepAndReport:
                            "--ceiling", "16")
         assert code == 4
         assert err.startswith("error: 4:")
+
+    def test_default_ceiling_stops_before_row_limit(self, capsys, monkeypatch):
+        # a 4-word budget stands in for the 2^18-word one: without --ceiling
+        # a runaway search reports the ceiling (4), not a row too wide (2)
+        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 4)
+        code, out, err = run(capsys, "sweep", "--k", "12", "--target", "0.9",
+                             "--samples", "200", "--seed", "3")
+        assert code == 4 and out == ""
+        assert err.startswith("error: 4:") and "n <= 256" in err
 
 
 class TestBounds:

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from apth import _philox
 from apth.coloring import (
+    NO_HIT,
     Coloring,
     RandomStream,
+    batch_first_hit,
     batch_has_mono_ap,
     count_mono_aps,
     has_mono_ap,
@@ -14,7 +16,7 @@ from apth.coloring import (
     random_coloring,
 )
 from apth.family import APFamily, large_diff_family
-from oracles import ap_tuples, naive_count_mono, naive_has_mono
+from oracles import ap_tuples, naive_count_mono, naive_first_hit, naive_has_mono
 
 
 class TestColoring:
@@ -257,3 +259,60 @@ class TestBatchKernel:
         words = self._random_words(5, 4, 100)
         with pytest.raises(ValueError):
             batch_has_mono_ap(words, 200, 3)
+
+
+def _packed(bits: int, n: int) -> np.ndarray:
+    nwords = -(-n // 64)
+    return np.array(
+        [[(bits >> (64 * i)) & ((1 << 64) - 1) for i in range(nwords)]],
+        dtype=np.uint64,
+    )
+
+
+class TestFirstHit:
+    _random_words = TestBatchKernel._random_words
+
+    @given(st.integers(3, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_oracle(self, k, data):
+        n = data.draw(
+            st.sampled_from([k - 1, k, 63, 64, 65, 129])
+            | st.integers(k, 140)
+        )
+        bits = data.draw(st.integers(0, (1 << n) - 1))
+        got = int(batch_first_hit(_packed(bits, n), n, k)[0])
+        expected = naive_first_hit(bits, k, n)
+        assert got == (NO_HIT if expected is None else expected)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 8])
+    def test_prefixes_match_detection(self, k):
+        # one first-hit pass on [1, 200] answers detection on every prefix
+        big = 200
+        words = self._random_words(2024 + k, 96, big)
+        first = batch_first_hit(words, big, k)
+        for n in range(1, big + 1):
+            nwords = -(-n // 64)
+            prefix = words[:, :nwords].copy()
+            top = n - (nwords - 1) * 64
+            if top < 64:
+                prefix[:, -1] &= np.uint64((1 << top) - 1)
+            got = batch_has_mono_ap(prefix, n, k)
+            assert np.array_equal(first <= n, got), (k, n)
+
+    # van der Waerden numbers W(2; k) (Kouril & Paul, Exp. Math. 2008):
+    # every coloring of [1, W] has a mono k-AP, so every first hit is <= W
+    @pytest.mark.parametrize("k, w", [(4, 35), (5, 178), (6, 1132)])
+    def test_van_der_waerden_points(self, k, w):
+        words = self._random_words(k, 64, w + 70)
+        first = batch_first_hit(words, w + 70, k)
+        assert (first <= w).all()
+        assert (first >= k).all()
+
+    def test_no_ap_possible(self):
+        words = self._random_words(5, 16, 3)
+        assert (batch_first_hit(words, 3, 4) == NO_HIT).all()
+
+    def test_shape_validation(self):
+        words = self._random_words(5, 4, 100)
+        with pytest.raises(ValueError):
+            batch_first_hit(words, 200, 3)

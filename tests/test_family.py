@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apth.family import (
+    GREEDY_MAX_N,
     APFamily,
     block_count,
     block_plan,
@@ -213,6 +214,11 @@ class TestGreedy:
 
     def test_single_member_case(self):
         assert [(p.start, p.diff) for p in greedy_max_family(3, 4)] == [(1, 1)]
+
+    def test_refuses_n_beyond_cap(self):
+        assert GREEDY_MAX_N == 1 << 14
+        with pytest.raises(ValueError, match="pair table"):
+            greedy_max_family(3, GREEDY_MAX_N + 1)
 
     def test_seeding_guarantees_base_size(self):
         for order in ("lex_by_diff_start", "lex_by_start_diff"):

@@ -16,6 +16,7 @@ from apth.montecarlo import (
     wilson_interval,
 )
 from apth.probability import exact_prob_mono, markov_upper
+from oracles import estimate_driven_search
 
 
 class TestWilson:
@@ -98,6 +99,12 @@ class TestEstimateProb:
         with pytest.raises(ValueError):
             estimate_prob(3, 5, 10, -1)
 
+    # van der Waerden numbers W(2; k) (Kouril & Paul, Exp. Math. 2008):
+    # every coloring of [1, W] has a mono k-AP
+    @pytest.mark.parametrize("k, w", [(4, 35), (5, 178), (6, 1132)])
+    def test_van_der_waerden_points(self, k, w):
+        assert estimate_prob(k, w, 300, 6).p_hat == 1.0
+
     def test_markov_certifies_estimates(self):
         # true p <= markov bound, so p_hat exceeds it by at most noise
         for k, n in [(3, 4), (3, 7), (4, 12), (5, 25), (10, 30)]:
@@ -135,6 +142,35 @@ class TestChunkBudget:
         with pytest.raises(ValueError, match="n must be at most 256"):
             estimate_prob(12, 300, 10, 3)
         assert estimate_prob(3, 256, 10, 3).samples == 10
+
+
+class TestRanges:
+    def test_one_worker_takes_whole_chunks(self):
+        for samples, chunk in [(1, 5), (5, 5), (12, 5), (8000, 13797)]:
+            assert montecarlo._ranges(samples, chunk, 1) == [
+                (lo, min(lo + chunk, samples))
+                for lo in range(0, samples, chunk)
+            ]
+
+    def test_one_chunk_spreads_over_workers(self):
+        # estimate_prob(16, 1156, 8000): 19-word rows, one 13,797-row chunk
+        chunk = montecarlo._chunk_size(19)
+        assert montecarlo._ranges(8000, chunk, 1) == [(0, 8000)]
+        assert montecarlo._ranges(8000, chunk, 2) == [(0, 4000), (4000, 8000)]
+        assert len(montecarlo._ranges(8000, chunk, 3)) == 3
+
+    @given(st.integers(1, 3000), st.integers(1, 700), st.integers(1, 8))
+    def test_ranges_tile_the_samples(self, samples, chunk, workers):
+        ranges = montecarlo._ranges(samples, chunk, workers)
+        assert ranges[0][0] == 0 and ranges[-1][1] == samples
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        share = -(-samples // workers)
+        assert all(0 < hi - lo <= min(chunk, share) for lo, hi in ranges)
+
+    def test_single_chunk_estimate_keeps_result(self):
+        ref = estimate_prob(16, 1156, 600, 4)
+        assert estimate_prob(16, 1156, 600, 4, workers=2) == ref
+        assert estimate_prob(16, 1156, 600, 4, workers=3) == ref
 
 
 class TestThresholdSearch:
@@ -180,6 +216,30 @@ class TestThresholdSearch:
     def test_ceiling_error(self):
         with pytest.raises(SearchCeilingError):
             threshold_search(8, 0.95, 200, 3, ceiling=16)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("target", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_matches_estimate_driven_search(self, k, target, workers):
+        # walk-down, doubling, bisection and budget escalation all occur
+        # over this grid; every trace entry must equal estimate_prob's
+        ref = estimate_driven_search(k, target, 300, 2026)
+        assert threshold_search(k, target, 300, 2026, workers=workers) == ref
+
+    def test_capped_horizons_match(self, monkeypatch):
+        # a 4-word budget caps the horizon at n = 256, where doubling lands
+        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 4)
+        ref = estimate_driven_search(10, 0.95, 60, 1, ceiling=256)
+        assert 256 in [n for n, _ in ref.trace]
+        assert threshold_search(10, 0.95, 60, 1) == ref
+
+    def test_default_ceiling_is_the_row_limit(self, monkeypatch):
+        assert montecarlo.DEFAULT_SEARCH_CEILING == 1 << 24
+        assert montecarlo.DEFAULT_SEARCH_CEILING == 64 * montecarlo._CHUNK_WORDS
+        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 4)
+        with pytest.raises(SearchCeilingError) as exc:
+            threshold_search(12, 0.9, 200, 3)
+        assert exc.value.ceiling == 256
 
     def test_trace_records_every_evaluation(self):
         res = threshold_search(3, 0.5, 3000, 17)
