@@ -7,13 +7,13 @@ i-1 in the result marks a monochromatic run starting at element i.  The
 shift chain is built by doubling, so a length-k run costs O(log k) shifted
 ANDs instead of k-1.
 
-Two equivalent kernels are provided: an arbitrary-precision-integer one for
-single colorings, and a numpy uint64 batch one used by the Monte Carlo
-engine.  Their agreement (and agreement with a direct scan over
-``enumerate_aps``) is asserted by the test suite.  The batch kernel also
-reports each row's first-hit time, the smallest last element of any
-monochromatic k-AP, which answers detection on every prefix [1, n'] at
-once.
+There is one kernel, on (rows, words) numpy uint64 matrices of colorings.
+The Monte Carlo engine and the exact oracles call it on batches, and the
+scalar ``Coloring`` API on a batch of one row.  Its agreement with direct
+scans over element tuples is asserted by the test suite.  Besides
+detection, it counts monochromatic k-APs per row and reports each row's
+first-hit time, the smallest last element of any monochromatic k-AP,
+which answers detection on every prefix [1, n'] at once.
 """
 
 from __future__ import annotations
@@ -155,44 +155,20 @@ def random_coloring(n: int, stream: RandomStream) -> Coloring:
     return Coloring(n, bits & ((1 << n) - 1))
 
 
-def _run_starts(mask: int, d: int, k: int) -> int:
-    """Bits i with mask bits i, i+d, ..., i+(k-1)d all set (doubling chain)."""
-    t = 1
-    while 2 * t <= k:
-        mask &= mask >> (t * d)
-        t *= 2
-    if t < k:
-        mask &= mask >> ((k - t) * d)
-    return mask
+def _row(c: Coloring) -> np.ndarray:
+    """``c`` as a batch of one row of little-endian uint64 words."""
+    raw = c.bits.to_bytes(8 * _word_count(c.n), "little")
+    return np.frombuffer(raw, dtype="<u8").reshape(1, -1)
 
 
 def has_mono_ap(c: Coloring, k: int) -> bool:
-    """True iff some k-AP in [1, c.n] is monochromatic under ``c``.
-
-    Scans d ascending (small-d APs are the most numerous, so hits come
-    early) and returns on the first nonzero run mask of either color.
-    """
-    _check_k(k)
-    full = (1 << c.n) - 1
-    red = c.bits
-    blue = red ^ full
-    for d in range(1, (c.n - 1) // (k - 1) + 1):
-        if _run_starts(red, d, k) or _run_starts(blue, d, k):
-            return True
-    return False
+    """True iff some k-AP in [1, c.n] is monochromatic under ``c``."""
+    return bool(batch_has_mono_ap(_row(c), c.n, k)[0])
 
 
 def count_mono_aps(c: Coloring, k: int) -> int:
     """Exact number of monochromatic k-APs in [1, c.n] under ``c``."""
-    _check_k(k)
-    full = (1 << c.n) - 1
-    red = c.bits
-    blue = red ^ full
-    total = 0
-    for d in range(1, (c.n - 1) // (k - 1) + 1):
-        total += _run_starts(red, d, k).bit_count()
-        total += _run_starts(blue, d, k).bit_count()
-    return total
+    return int(batch_count_mono_aps(_row(c), c.n, k)[0])
 
 
 def mono_in_family(c: Coloring, family: APFamily) -> bool:
@@ -214,37 +190,65 @@ def mono_in_family(c: Coloring, family: APFamily) -> bool:
 # --- batch kernel -----------------------------------------------------------
 
 
-def _shift_right_words(v: np.ndarray, bits: int) -> np.ndarray:
-    """Logical right shift of each row's bit vector by ``bits``.
+def _shift_right_words(v: np.ndarray, bits: int, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the logical right shift of each row of ``v`` by
+    ``bits``, and return ``out``.
 
     Rows are little-endian uint64 words; vacated high positions fill with
-    zero.  Equivalent to ``row_as_int >> bits`` on every row.
+    zero.  Equivalent to ``row_as_int >> bits`` on every row.  ``out`` has
+    the shape of ``v`` and must not overlap it.
     """
-    nrows, nwords = v.shape
+    nwords = v.shape[1]
     w, b = divmod(bits, WORD_BITS)
-    out = np.zeros_like(v)
     if w >= nwords:
+        out.fill(0)
         return out
     if b == 0:
         out[:, : nwords - w] = v[:, w:]
-        return out
-    bb = np.uint64(b)
-    carry = np.uint64(WORD_BITS - b)
-    out[:, : nwords - w] = v[:, w:] >> bb
-    if w + 1 < nwords:
-        out[:, : nwords - w - 1] |= v[:, w + 1 :] << carry
+    else:
+        np.right_shift(v[:, w:], np.uint64(b), out=out[:, : nwords - w])
+        if w + 1 < nwords:
+            out[:, : nwords - w - 1] |= v[:, w + 1 :] << np.uint64(WORD_BITS - b)
+    out[:, nwords - w :] = 0
     return out
 
 
 def _batch_run_starts(mask: np.ndarray, d: int, k: int) -> np.ndarray:
-    cur = mask
-    t = 1
+    """Per row, the bits i with ``mask`` bits i, i+d, ..., i+(k-1)d all set.
+
+    The shift chain doubles the covered run length at each step, so it
+    costs O(log k) shifted ANDs instead of k-1, all through one scratch
+    buffer.
+    """
+    shifted = np.empty_like(mask)
+    cur = mask & _shift_right_words(mask, d, shifted)
+    t = 2
     while 2 * t <= k:
-        cur = cur & _shift_right_words(cur, t * d)
+        cur &= _shift_right_words(cur, t * d, shifted)
         t *= 2
     if t < k:
-        cur = cur & _shift_right_words(cur, (k - t) * d)
+        cur &= _shift_right_words(cur, (k - t) * d, shifted)
     return cur
+
+
+def _mono_runs(red: np.ndarray, blue: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Per row, the starts of k-term runs of difference d in either color."""
+    runs = _batch_run_starts(red, d, k)
+    runs |= _batch_run_starts(blue, d, k)
+    return runs
+
+
+def _blue_rows(words: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Check that ``words`` packs colorings of [1, n] for k-AP detection
+    and return their blue masks (complements within [1, n])."""
+    _check_k(k)
+    _check_n(n)
+    _, nwords = words.shape
+    if nwords != _word_count(n):
+        raise ValueError(f"expected {_word_count(n)} words per row for n={n}")
+    full = np.full(nwords, _FULL_WORD, dtype=np.uint64)
+    full[-1] = _pad_mask(n)
+    return words ^ full
 
 
 def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -255,29 +259,30 @@ def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
     from the scan as soon as they are decided, which makes supercritical
     batches (where nearly every row has a hit at small d) cheap.
     """
-    _check_k(k)
-    _check_n(n)
-    nrows, nwords = words.shape
-    if nwords != _word_count(n):
-        raise ValueError(f"expected {_word_count(n)} words per row for n={n}")
-    found = np.zeros(nrows, dtype=bool)
-    if n < k:
-        return found
-    full = np.full(nwords, _FULL_WORD, dtype=np.uint64)
-    full[-1] = _pad_mask(n)
-    active = words
-    active_rows = np.arange(nrows)
+    red, blue = words, _blue_rows(words, n, k)
+    found = np.zeros(words.shape[0], dtype=bool)
+    rows = np.arange(words.shape[0])
     for d in range(1, (n - 1) // (k - 1) + 1):
-        runs = _batch_run_starts(active, d, k) | _batch_run_starts(active ^ full, d, k)
-        hit = runs.any(axis=1)
+        hit = _mono_runs(red, blue, d, k).any(axis=1)
         if hit.any():
-            found[active_rows[hit]] = True
-            keep = ~hit
-            active = active[keep]
-            active_rows = active_rows[keep]
-            if active_rows.size == 0:
+            found[rows[hit]] = True
+            # index arrays: a boolean row mask on a 2-D array is far slower
+            keep = np.flatnonzero(~hit)
+            if keep.size == 0:
                 break
+            red, blue, rows = red.take(keep, 0), blue.take(keep, 0), rows[keep]
     return found
+
+
+def batch_count_mono_aps(words: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Vectorized ``count_mono_aps``: per row of a (rows, words) matrix laid
+    out as for ``batch_has_mono_ap``, the number of monochromatic k-APs in
+    [1, n], as an int64 vector."""
+    blue = _blue_rows(words, n, k)
+    counts = np.zeros(words.shape, dtype=np.int64)
+    for d in range(1, (n - 1) // (k - 1) + 1):
+        counts += np.bitwise_count(_mono_runs(words, blue, d, k))
+    return counts.sum(axis=1)
 
 
 def batch_first_hit(words: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -293,21 +298,12 @@ def batch_first_hit(words: np.ndarray, n: int, k: int) -> np.ndarray:
     ``batch_first_hit(words, n, k) <= n'`` is detection on [1, n'] for
     every n' <= n.
     """
-    _check_k(k)
-    _check_n(n)
-    nrows, nwords = words.shape
-    if nwords != _word_count(n):
-        raise ValueError(f"expected {_word_count(n)} words per row for n={n}")
-    first = np.full(nrows, NO_HIT, dtype=np.int64)
-    if n < k:
-        return first
-    full = np.full(nwords, _FULL_WORD, dtype=np.uint64)
-    full[-1] = _pad_mask(n)
-    active = words
-    active_rows = np.arange(nrows)
+    red, blue = words, _blue_rows(words, n, k)
+    first = np.full(words.shape[0], NO_HIT, dtype=np.int64)
+    rows = np.arange(words.shape[0])
     best = first.copy()
     for d in range(1, (n - 1) // (k - 1) + 1):
-        runs = _batch_run_starts(active, d, k) | _batch_run_starts(active ^ full, d, k)
+        runs = _mono_runs(red, blue, d, k)
         nonzero = runs != 0
         hit = np.flatnonzero(nonzero.any(axis=1))
         if hit.size:
@@ -319,12 +315,11 @@ def batch_first_hit(words: np.ndarray, n: int, k: int) -> np.ndarray:
             best[hit] = np.minimum(best[hit], last)
         done = best <= (k - 1) * (d + 1) + 1
         if done.any():
-            first[active_rows[done]] = best[done]
-            keep = ~done
-            active = active[keep]
-            active_rows = active_rows[keep]
+            first[rows[done]] = best[done]
+            keep = np.flatnonzero(~done)
+            if keep.size == 0:
+                return first
+            red, blue, rows = red.take(keep, 0), blue.take(keep, 0), rows[keep]
             best = best[keep]
-            if active_rows.size == 0:
-                break
-    first[active_rows] = best
+    first[rows] = best
     return first

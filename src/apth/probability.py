@@ -28,6 +28,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .coloring import batch_count_mono_aps, batch_has_mono_ap
 from .errors import BruteForceCapError
 from .family import APFamily, block_count, block_plan, large_diff_family_size
 from .progressions import (
@@ -46,7 +47,7 @@ DEFAULT_BRUTE_CAP = 26
 #: One-word packing bound; enumeration beyond this is unreachable anyway.
 _HARD_ENUM_LIMIT = 63
 
-_CHUNK = 1 << 22
+_CHUNK = 1 << 20
 
 
 def _check_cap(n: int, cap: int | None) -> None:
@@ -61,24 +62,13 @@ def _check_cap(n: int, cap: int | None) -> None:
 
 
 def _coloring_chunks(n: int) -> Iterator[np.ndarray]:
-    """All colorings of [1, n] with element 1 red, as uint64 chunks."""
+    """All colorings of [1, n] with element 1 red, as (rows, 1) uint64
+    chunks: batches of one-word rows for the ``coloring`` kernels."""
     half = 1 << (n - 1)
     one = np.uint64(1)
     for lo in range(0, half, _CHUNK):
         y = np.arange(lo, min(lo + _CHUNK, half), dtype=np.uint64)
-        yield (y << one) | one
-
-
-def _run_starts_vec(mask: np.ndarray, d: int, k: int) -> np.ndarray:
-    """Doubling run detector on whole-coloring words (one word per coloring)."""
-    cur = mask
-    t = 1
-    while 2 * t <= k:
-        cur = cur & (cur >> np.uint64(t * d))
-        t *= 2
-    if t < k:
-        cur = cur & (cur >> np.uint64((k - t) * d))
-    return cur
+        yield ((y << one) | one).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -142,15 +132,10 @@ def exact_prob_mono(k: int, n: int, cap: int | None = None) -> Fraction:
     _check_cap(n, cap)
     if n < k:
         return Fraction(0)
-    full = np.uint64((1 << n) - 1)
-    d_max = (n - 1) // (k - 1)
-    hits = 0
-    for x in _coloring_chunks(n):
-        any_mono = np.zeros(x.shape, dtype=bool)
-        for color in (x, x ^ full):
-            for d in range(1, d_max + 1):
-                any_mono |= _run_starts_vec(color, d, k) != 0
-        hits += int(np.count_nonzero(any_mono))
+    hits = sum(
+        int(np.count_nonzero(batch_has_mono_ap(x, n, k)))
+        for x in _coloring_chunks(n)
+    )
     return Fraction(2 * hits, 1 << n)
 
 
@@ -163,17 +148,9 @@ def mono_count_distribution(
     _check_cap(n, cap)
     if n < k:
         return ExactDistribution(k, n, {0: 1 << n}, 1 << n)
-    full = np.uint64((1 << n) - 1)
-    d_max = (n - 1) // (k - 1)
     hist = np.zeros(count_aps(k, n) + 1, dtype=np.int64)
     for x in _coloring_chunks(n):
-        r_of = np.zeros(x.shape, dtype=np.uint16)
-        for color in (x, x ^ full):
-            for d in range(1, d_max + 1):
-                r_of += np.bitwise_count(_run_starts_vec(color, d, k)).astype(
-                    np.uint16
-                )
-        hist += np.bincount(r_of, minlength=hist.shape[0]).astype(np.int64)
+        hist += np.bincount(batch_count_mono_aps(x, n, k), minlength=hist.shape[0])
     counts = {int(r): 2 * int(c) for r, c in enumerate(hist) if c}
     return ExactDistribution(k, n, counts, 1 << n)
 

@@ -8,6 +8,8 @@ from apth.coloring import (
     NO_HIT,
     Coloring,
     RandomStream,
+    _shift_right_words,
+    batch_count_mono_aps,
     batch_first_hit,
     batch_has_mono_ap,
     count_mono_aps,
@@ -16,7 +18,13 @@ from apth.coloring import (
     random_coloring,
 )
 from apth.family import APFamily, large_diff_family
-from oracles import ap_tuples, naive_count_mono, naive_first_hit, naive_has_mono
+from oracles import (
+    ap_tuples,
+    is_mono,
+    naive_count_mono,
+    naive_first_hit,
+    naive_has_mono,
+)
 
 
 class TestColoring:
@@ -161,20 +169,24 @@ class TestMonoDetection:
                     assert count_mono_aps(c, k) == naive_count_mono(bits, k, n)
 
     def test_exhaustive_oracle_equivalence_to_16(self):
-        # every coloring of [1, n] up to n = 16, against a direct scan over
-        # enumerate_aps (per-AP element masks; no shifted-AND anywhere)
+        # every coloring of [1, n] up to n = 16, as one batch, against a
+        # direct scan over enumerate_aps (per-AP element masks; no
+        # shifted-AND anywhere)
         for n in range(3, 17):
+            words = np.arange(1 << n, dtype=np.uint64).reshape(-1, 1)
             for k in (3, 4):
                 masks = [
                     sum(1 << (e - 1) for e in ap) for ap in ap_tuples(k, n)
                 ]
-                for bits in range(1 << n):
-                    expected = sum(
-                        1 for m in masks if bits & m == m or bits & m == 0
-                    )
-                    c = Coloring(n, bits)
-                    assert count_mono_aps(c, k) == expected
-                    assert has_mono_ap(c, k) == (expected > 0)
+                expected = np.array([
+                    sum(1 for m in masks if bits & m == m or bits & m == 0)
+                    for bits in range(1 << n)
+                ])
+                counts = batch_count_mono_aps(words, n, k)
+                assert np.array_equal(counts, expected), (n, k)
+                assert np.array_equal(
+                    batch_has_mono_ap(words, n, k), expected > 0
+                ), (n, k)
 
     @given(st.integers(3, 5), st.data())
     @settings(max_examples=120, deadline=None)
@@ -235,11 +247,40 @@ class TestBatchKernel:
     @pytest.mark.parametrize("n", [3, 12, 63, 64, 65, 127, 128, 129, 200])
     @pytest.mark.parametrize("k", [3, 4, 6])
     def test_matches_scalar_kernel(self, n, k):
+        # the scalar API wraps this kernel, so the reference is the
+        # tuple-based oracle
         words = self._random_words(77, 128, n)
         got = batch_has_mono_ap(words, n, k)
+        aps = ap_tuples(k, n)
         for i in range(words.shape[0]):
             bits = int.from_bytes(words[i].astype("<u8").tobytes(), "little")
-            assert bool(got[i]) == has_mono_ap(Coloring(n, bits), k), (n, k, i)
+            expected = any(is_mono(bits, ap) for ap in aps)
+            assert bool(got[i]) == expected, (n, k, i)
+
+    @given(st.integers(3, 5), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_counts_match_naive_oracle(self, k, data):
+        n = data.draw(st.sampled_from([63, 64, 65, 129]) | st.integers(k, 140))
+        rows = data.draw(
+            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3)
+        )
+        words = np.concatenate([_packed(bits, n) for bits in rows])
+        got = batch_count_mono_aps(words, n, k)
+        assert got.dtype == np.int64
+        assert got.tolist() == [naive_count_mono(bits, k, n) for bits in rows]
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 200])
+    def test_shift_into_dirty_buffer(self, n):
+        # the chain reuses one scratch buffer: every word a shift does not
+        # write from the source must be cleared, whatever it held before
+        words = self._random_words(n, 3, n)
+        for bits in range(n + 65):
+            out = np.full_like(words, np.uint64(0xFFFFFFFFFFFFFFFF))
+            got = _shift_right_words(words, bits, out)
+            assert got is out
+            for row, shifted in zip(words, got):
+                value = int.from_bytes(row.astype("<u8").tobytes(), "little")
+                assert _packed(value >> bits, n)[0].tolist() == shifted.tolist()
 
     def test_batch_rows_match_random_coloring(self):
         # the Monte Carlo engine's row i must be exactly the library
@@ -259,6 +300,8 @@ class TestBatchKernel:
         words = self._random_words(5, 4, 100)
         with pytest.raises(ValueError):
             batch_has_mono_ap(words, 200, 3)
+        with pytest.raises(ValueError):
+            batch_count_mono_aps(words, 200, 3)
 
 
 def _packed(bits: int, n: int) -> np.ndarray:

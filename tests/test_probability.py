@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apth import probability
 from apth.errors import BruteForceCapError
 from apth.family import APFamily, large_diff_family
 from apth.probability import (
@@ -236,6 +237,19 @@ class TestUnionExact:
         fam = large_diff_family(3, 12)
         with pytest.raises(BruteForceCapError):
             union_mono_exact(fam, 12, cap=10)
+
+
+class TestChunkedEnumeration:
+    @pytest.mark.parametrize("k, n", [(3, 12), (4, 13)])
+    def test_many_chunks_match_naive(self, monkeypatch, k, n):
+        # hundreds of 8-coloring chunks: every chunk boundary must neither
+        # drop nor repeat a coloring
+        monkeypatch.setattr(probability, "_CHUNK", 8)
+        assert exact_prob_mono(k, n) == naive_prob_mono(k, n)
+        assert mono_count_distribution(k, n).counts == naive_distribution(k, n)
+        fam = large_diff_family(k, n)
+        aps = [tuple(range(p.start, p.last + 1, p.diff)) for p in fam]
+        assert union_mono_exact(fam, n) == naive_union_count(aps, n)
 
 
 class TestMomentBounds:
