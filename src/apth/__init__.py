@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .coloring import (
     Coloring,
     RandomStream,
-    batch_count_mono_aps,
     batch_first_hit,
     batch_has_mono_ap,
     count_mono_aps,
@@ -86,7 +85,6 @@ __all__ = [
     "ScalingRow",
     "SearchCeilingError",
     "ThresholdResult",
-    "batch_count_mono_aps",
     "batch_first_hit",
     "batch_has_mono_ap",
     "block_count",

@@ -259,9 +259,26 @@ def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
     from the scan as soon as they are decided, which makes supercritical
     batches (where nearly every row has a hit at small d) cheap.
     """
-    red, blue = words, _blue_rows(words, n, k)
-    found = np.zeros(words.shape[0], dtype=bool)
-    rows = np.arange(words.shape[0])
+    return _any_mono(words, _blue_rows(words, n, k), n, k)
+
+
+def batch_count_mono_aps(words: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Vectorized ``count_mono_aps``: per row of a (rows, words) matrix laid
+    out as for ``batch_has_mono_ap``, the number of monochromatic k-APs in
+    [1, n], as an int64 vector."""
+    return _mono_counts(words, _blue_rows(words, n, k), n, k)
+
+
+# The exact oracles in ``probability`` call these bodies on the chunks they
+# enumerate rather than the public kernels above: ``bench/tracing.py``
+# counts calls of the public kernels as the detection layer and the exact
+# oracles as a layer of their own.
+
+
+def _any_mono(red: np.ndarray, blue: np.ndarray, n: int, k: int) -> np.ndarray:
+    """``batch_has_mono_ap`` of checked rows ``red`` with their blue masks."""
+    found = np.zeros(red.shape[0], dtype=bool)
+    rows = np.arange(red.shape[0])
     for d in range(1, (n - 1) // (k - 1) + 1):
         hit = _mono_runs(red, blue, d, k).any(axis=1)
         if hit.any():
@@ -274,14 +291,11 @@ def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
     return found
 
 
-def batch_count_mono_aps(words: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Vectorized ``count_mono_aps``: per row of a (rows, words) matrix laid
-    out as for ``batch_has_mono_ap``, the number of monochromatic k-APs in
-    [1, n], as an int64 vector."""
-    blue = _blue_rows(words, n, k)
-    counts = np.zeros(words.shape, dtype=np.int64)
+def _mono_counts(red: np.ndarray, blue: np.ndarray, n: int, k: int) -> np.ndarray:
+    """``batch_count_mono_aps`` of checked rows ``red`` with their blue masks."""
+    counts = np.zeros(red.shape, dtype=np.int64)
     for d in range(1, (n - 1) // (k - 1) + 1):
-        counts += np.bitwise_count(_mono_runs(words, blue, d, k))
+        counts += np.bitwise_count(_mono_runs(red, blue, d, k))
     return counts.sum(axis=1)
 
 

@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .coloring import batch_count_mono_aps, batch_has_mono_ap
+from .coloring import _any_mono, _blue_rows, _mono_counts
 from .errors import BruteForceCapError
 from .family import APFamily, block_count, block_plan, large_diff_family_size
 from .progressions import (
@@ -133,7 +133,7 @@ def exact_prob_mono(k: int, n: int, cap: int | None = None) -> Fraction:
     if n < k:
         return Fraction(0)
     hits = sum(
-        int(np.count_nonzero(batch_has_mono_ap(x, n, k)))
+        int(np.count_nonzero(_any_mono(x, _blue_rows(x, n, k), n, k)))
         for x in _coloring_chunks(n)
     )
     return Fraction(2 * hits, 1 << n)
@@ -150,7 +150,8 @@ def mono_count_distribution(
         return ExactDistribution(k, n, {0: 1 << n}, 1 << n)
     hist = np.zeros(count_aps(k, n) + 1, dtype=np.int64)
     for x in _coloring_chunks(n):
-        hist += np.bincount(batch_count_mono_aps(x, n, k), minlength=hist.shape[0])
+        counts = _mono_counts(x, _blue_rows(x, n, k), n, k)
+        hist += np.bincount(counts, minlength=hist.shape[0])
     counts = {int(r): 2 * int(c) for r, c in enumerate(hist) if c}
     return ExactDistribution(k, n, counts, 1 << n)
 
