@@ -1,19 +1,25 @@
 """Bit-packed 2-colorings of [1, n] and monochromatic k-AP detection.
 
 A coloring assigns red (bit 1) or blue (bit 0) to each element; element i
-lives at bit i-1.  Detection works per common difference d by AND-ing the
-color mask with itself shifted by multiples of d: a set bit at position
-i-1 in the result marks a monochromatic run starting at element i.  The
-shift chain is built by doubling, so a length-k run costs O(log k) shifted
-ANDs instead of k-1.
+lives at bit i-1 of a little-endian row of 64-bit words.  That row layout
+is what the random streams produce and what the public batch functions
+take.
 
-There is one kernel, on (rows, words) numpy uint64 matrices of colorings.
-The Monte Carlo engine and the exact oracles call it on batches, and the
-scalar ``Coloring`` API on a batch of one row.  Its agreement with direct
-scans over element tuples is asserted by the test suite.  Besides
-detection, it counts monochromatic k-APs per row and reports each row's
-first-hit time, the smallest last element of any monochromatic k-AP,
-which answers detection on every prefix [1, n'] at once.
+Detection runs in one bit-sliced kernel.  Rows are transposed to an
+element-major matrix B, where B[i, g] holds element i+1 of samples
+64g..64g+63, one sample per bit, so one word operation tests 64 samples.
+For each common difference d the kernel builds the equal-neighbour chain
+of B[:-d] and B[d:]: a monochromatic k-AP of difference d is a run of k-1
+equal neighbours at stride d.  The run is found by doubling in O(log k)
+operations, and each operation shortens the chain, so the last one holds
+exactly the valid starts and no padding masks are needed.  A 64-sample
+group leaves the scan once all of its samples have hit.
+
+The Monte Carlo engine, the scalar ``Coloring`` API (a batch of one row)
+and the exact oracles (which build element-major chunks directly) all
+call this kernel.  Besides detection, it counts monochromatic k-APs per
+sample in vertical bit-plane counters.  Its agreement with direct scans
+over element tuples is asserted by the test suite.
 """
 
 from __future__ import annotations
@@ -23,16 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _philox
-from .progressions import _check_k, _check_n, element_mask
+from .progressions import _check_k, _check_n, count_aps, element_mask
 from .family import APFamily
 
 WORD_BITS = 64
 
 _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-#: ``batch_first_hit`` value of a row with no monochromatic k-AP.
-NO_HIT = np.iinfo(np.int64).max
-
 
 def _word_count(n: int) -> int:
     return -(-n // WORD_BITS)
@@ -187,153 +189,216 @@ def mono_in_family(c: Coloring, family: APFamily) -> bool:
     return False
 
 
-# --- batch kernel -----------------------------------------------------------
 
 
-def _shift_right_words(v: np.ndarray, bits: int, out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the logical right shift of each row of ``v`` by
-    ``bits``, and return ``out``.
+# --- bit-sliced kernel ------------------------------------------------------
+#
+# Element-major matrices: B[i, g] holds element i+1 of samples 64g..64g+63,
+# one sample per bit.  A common difference d is the row offset B[d:], so
+# every sample in a word is tested at once, with no cross-word shifts.
 
-    Rows are little-endian uint64 words; vacated high positions fill with
-    zero.  Equivalent to ``row_as_int >> bits`` on every row.  ``out`` has
-    the shape of ``v`` and must not overlap it.
+
+#: Words transposed at a time by ``_bitsliced`` (128 KB), which bounds its
+#: scratch memory whatever the batch size.
+_SLAB_WORDS = 1 << 14
+
+#: (mask, shift) of the three delta swaps that transpose the 8x8 bit
+#: matrix held in a word: bit j of byte i goes to bit i of byte j
+#: (Knuth, TAOCP 4A, 7.1.3).
+_TRANSPOSE8 = tuple(
+    (np.uint64(mask), np.uint64(shift))
+    for mask, shift in (
+        (0x00AA00AA00AA00AA, 7),
+        (0x0000CCCC0000CCCC, 14),
+        (0x00000000F0F0F0F0, 28),
+    )
+)
+
+
+def _check_rows(words: np.ndarray, n: int, k: int) -> None:
+    """Check that ``words`` packs colorings of [1, n] for k-AP detection."""
+    _check_k(k)
+    _check_n(n)
+    if words.shape[1] != _word_count(n):
+        raise ValueError(f"expected {_word_count(n)} words per row for n={n}")
+
+
+def _bitsliced(words: np.ndarray, n: int) -> np.ndarray:
+    """The (n, ceil(rows/64)) element-major matrix of sample-major rows.
+
+    Row r of ``words`` becomes bit r % 64 of column r // 64; slots past
+    the last row read as blue.  Per slab of rows (a multiple of 8 rows
+    holding at most ``_SLAB_WORDS`` words, or 8 rows), byte j of 8
+    consecutive rows is gathered into one word, whose 8x8 bit matrix is
+    then transposed in place: byte e of the result holds element 8j+e+1
+    of those 8 samples.
     """
-    nwords = v.shape[1]
-    w, b = divmod(bits, WORD_BITS)
-    if w >= nwords:
-        out.fill(0)
-        return out
-    if b == 0:
-        out[:, : nwords - w] = v[:, w:]
-    else:
-        np.right_shift(v[:, w:], np.uint64(b), out=out[:, : nwords - w])
-        if w + 1 < nwords:
-            out[:, : nwords - w - 1] |= v[:, w + 1 :] << np.uint64(WORD_BITS - b)
-    out[:, nwords - w :] = 0
+    rows, nwords = words.shape
+    out = np.zeros((n, -(-rows // WORD_BITS)), dtype=np.uint64)
+    out_bytes = out.view(np.uint8)
+    step = max(8, _SLAB_WORDS // nwords // 8 * 8)
+    for lo in range(0, rows, step):
+        slab = words[lo : lo + step]
+        octets = -(-slab.shape[0] // 8)
+        gathered = np.zeros((8 * nwords, 8 * octets), dtype=np.uint8)
+        gathered[:, : slab.shape[0]] = slab.view(np.uint8).T
+        v = gathered.view(np.uint64)
+        for mask, shift in _TRANSPOSE8:
+            t = (v ^ (v >> shift)) & mask
+            v ^= t ^ (t << shift)
+        elements = (
+            v.view(np.uint8)
+            .reshape(8 * nwords, octets, 8)
+            .transpose(0, 2, 1)
+            .reshape(WORD_BITS * nwords, octets)
+        )
+        out_bytes[:, lo // 8 : lo // 8 + octets] = elements[:n]
     return out
 
 
-def _batch_run_starts(mask: np.ndarray, d: int, k: int) -> np.ndarray:
-    """Per row, the bits i with ``mask`` bits i, i+d, ..., i+(k-1)d all set.
+def _padding(samples: int) -> np.ndarray:
+    """Per 64-sample group, the bits of the slots past ``samples``."""
+    pad = np.zeros(-(-samples // WORD_BITS), dtype=np.uint64)
+    if samples % WORD_BITS:
+        pad[-1] = _FULL_WORD << np.uint64(samples % WORD_BITS)
+    return pad
 
-    The shift chain doubles the covered run length at each step, so it
-    costs O(log k) shifted ANDs instead of k-1, all through one scratch
-    buffer.
+
+def _breaks(b: np.ndarray, d: int, k: int, buf: np.ndarray) -> np.ndarray:
+    """Bit s of row i is clear iff elements i+1, i+1+d, ..., i+1+(k-1)d are
+    one color in sample s, for the n-(k-1)d starts of difference d.
+
+    This is the complement of the equal-neighbour chain ~(B[i] ^ B[i+d]):
+    a monochromatic k-AP is a run of k-1 equal neighbours, that is k-1
+    clear bits of B[:-d] ^ B[d:] at stride d.  The run is found by doubling,
+    so it costs O(log k) ORs; each one shortens the chain in place in
+    ``buf``, and the last leaves exactly the valid starts.
     """
-    shifted = np.empty_like(mask)
-    cur = mask & _shift_right_words(mask, d, shifted)
-    t = 2
-    while 2 * t <= k:
-        cur &= _shift_right_words(cur, t * d, shifted)
-        t *= 2
-    if t < k:
-        cur &= _shift_right_words(cur, (k - t) * d, shifted)
-    return cur
+    size = b.shape[0] - d
+    chain = np.bitwise_xor(b[:-d], b[d:], out=buf[:size])
+    covered = 1
+    while covered < k - 1:
+        step = min(covered, k - 1 - covered)
+        shift = step * d
+        np.bitwise_or(chain[: size - shift], chain[shift:size], out=chain[: size - shift])
+        size -= shift
+        covered += step
+    return chain[:size]
 
 
-def _mono_runs(red: np.ndarray, blue: np.ndarray, d: int, k: int) -> np.ndarray:
-    """Per row, the starts of k-term runs of difference d in either color."""
-    runs = _batch_run_starts(red, d, k)
-    runs |= _batch_run_starts(blue, d, k)
-    return runs
+def _any_mono(b: np.ndarray, n: int, k: int, found: np.ndarray) -> np.ndarray:
+    """Set in ``found`` the bit of every sample of the element-major ``b``
+    with a monochromatic k-AP in [1, n], and return it.
+
+    Bits already set in ``found`` count as decided: a 64-sample group
+    leaves the scan once all of its bits are set, so padding slots start
+    out set.  Supercritical batches, where most samples hit at small d,
+    are therefore cheap.
+    """
+    groups = np.flatnonzero(found != _FULL_WORD)
+    if groups.size < b.shape[1]:
+        b = b.take(groups, axis=1)
+    buf = np.empty_like(b)
+    for d in range(1, (n - 1) // (k - 1) + 1):
+        if groups.size == 0:
+            break
+        hit = found[groups] | ~np.bitwise_and.reduce(_breaks(b, d, k, buf), axis=0)
+        found[groups] = hit
+        done = hit == _FULL_WORD
+        if done.any():
+            # index arrays: a boolean column mask on a 2-D array is slower
+            keep = np.flatnonzero(~done)
+            b, groups = b.take(keep, axis=1), groups[keep]
+            buf = np.empty_like(b)
+    return found
 
 
-def _blue_rows(words: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Check that ``words`` packs colorings of [1, n] for k-AP detection
-    and return their blue masks (complements within [1, n])."""
-    _check_k(k)
-    _check_n(n)
-    _, nwords = words.shape
-    if nwords != _word_count(n):
-        raise ValueError(f"expected {_word_count(n)} words per row for n={n}")
-    full = np.full(nwords, _FULL_WORD, dtype=np.uint64)
-    full[-1] = _pad_mask(n)
-    return words ^ full
+def _add_planes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for vertical counters: bit planes on axis -2, least
+    significant first, with one more plane than the wider operand."""
+    if a.shape[-2] < b.shape[-2]:
+        a, b = b, a
+    out = np.empty(a.shape[:-2] + (a.shape[-2] + 1, a.shape[-1]), dtype=np.uint64)
+    carry = np.zeros_like(a[..., 0, :])
+    for j in range(a.shape[-2]):
+        x = a[..., j, :]
+        if j < b.shape[-2]:
+            y = b[..., j, :]
+            half = x ^ y
+            out[..., j, :] = half ^ carry
+            carry = (x & y) | (carry & half)
+        else:
+            out[..., j, :] = x ^ carry
+            carry = x & carry
+    out[..., -1, :] = carry
+    return out
+
+
+def _column_sums(rows: np.ndarray) -> np.ndarray:
+    """Bit planes of the per-bit sum over the rows of a (rows, groups)
+    word matrix, added pairwise over all rows at once."""
+    sums = rows[:, None, :]
+    while sums.shape[0] > 1:
+        if sums.shape[0] % 2:
+            sums = np.concatenate([sums, np.zeros_like(sums[:1])])
+        sums = _add_planes(sums[0::2], sums[1::2])
+    return sums[0]
+
+
+def _mono_counts(b: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Per sample of the element-major ``b``, the number of monochromatic
+    k-APs in [1, n], as bit planes (least significant first) of words."""
+    planes = max(1, count_aps(k, n).bit_length())
+    total = np.zeros((planes, b.shape[1]), dtype=np.uint64)
+    buf = np.empty_like(b)
+    for d in range(1, (n - 1) // (k - 1) + 1):
+        runs = ~_breaks(b, d, k, buf)
+        # no sample exceeds count_aps(k, n), so the top plane stays clear
+        total = _add_planes(total, _column_sums(runs))[:planes]
+    return total
+
+
+def _plane_values(planes: np.ndarray, samples: int) -> np.ndarray:
+    """The int64 values of the first ``samples`` vertical counters.
+
+    Read as sample-major rows, the planes transpose to one word per
+    sample whose bit j is plane j.
+    """
+    return _bitsliced(planes, samples)[:, 0].view(np.int64)
+
+
+def _has_rows(words: np.ndarray, n: int, k: int) -> np.ndarray:
+    """``batch_has_mono_ap`` of checked rows, scanned in full."""
+    rows = words.shape[0]
+    found = _any_mono(_bitsliced(words, n), n, k, _padding(rows))
+    return np.unpackbits(found.view(np.uint8), count=rows, bitorder="little").view(bool)
 
 
 def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
     """Vectorized ``has_mono_ap`` over a (rows, words) matrix of colorings.
 
     Row r packs a coloring of [1, n] into ceil(n/64) little-endian words
-    with zero padding above n.  Returns a boolean vector.  Rows are retired
-    from the scan as soon as they are decided, which makes supercritical
-    batches (where nearly every row has a hit at small d) cheap.
+    with zero padding above n.  Returns a boolean vector.
+
+    Rows are first scanned on their first k-1 words, the prefix
+    [1, 64(k-1)]; only the rows without a hit there are bit-sliced and
+    scanned in full.  In supercritical batches nearly every row hits
+    early, so most rows are never transposed whole.
     """
-    return _any_mono(words, _blue_rows(words, n, k), n, k)
+    _check_rows(words, n, k)
+    head = WORD_BITS * (k - 1)
+    if head >= n:
+        return _has_rows(words, n, k)
+    found = _has_rows(words[:, : k - 1], head, k)
+    rest = np.flatnonzero(~found)
+    found[rest] = _has_rows(words.take(rest, axis=0), n, k)
+    return found
 
 
 def batch_count_mono_aps(words: np.ndarray, n: int, k: int) -> np.ndarray:
     """Vectorized ``count_mono_aps``: per row of a (rows, words) matrix laid
     out as for ``batch_has_mono_ap``, the number of monochromatic k-APs in
     [1, n], as an int64 vector."""
-    return _mono_counts(words, _blue_rows(words, n, k), n, k)
-
-
-# The exact oracles in ``probability`` call these bodies on the chunks they
-# enumerate rather than the public kernels above: ``bench/tracing.py``
-# counts calls of the public kernels as the detection layer and the exact
-# oracles as a layer of their own.
-
-
-def _any_mono(red: np.ndarray, blue: np.ndarray, n: int, k: int) -> np.ndarray:
-    """``batch_has_mono_ap`` of checked rows ``red`` with their blue masks."""
-    found = np.zeros(red.shape[0], dtype=bool)
-    rows = np.arange(red.shape[0])
-    for d in range(1, (n - 1) // (k - 1) + 1):
-        hit = _mono_runs(red, blue, d, k).any(axis=1)
-        if hit.any():
-            found[rows[hit]] = True
-            # index arrays: a boolean row mask on a 2-D array is far slower
-            keep = np.flatnonzero(~hit)
-            if keep.size == 0:
-                break
-            red, blue, rows = red.take(keep, 0), blue.take(keep, 0), rows[keep]
-    return found
-
-
-def _mono_counts(red: np.ndarray, blue: np.ndarray, n: int, k: int) -> np.ndarray:
-    """``batch_count_mono_aps`` of checked rows ``red`` with their blue masks."""
-    counts = np.zeros(red.shape, dtype=np.int64)
-    for d in range(1, (n - 1) // (k - 1) + 1):
-        counts += np.bitwise_count(_mono_runs(red, blue, d, k))
-    return counts.sum(axis=1)
-
-
-def batch_first_hit(words: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Per row, the smallest last element of a monochromatic k-AP in [1, n],
-    or ``NO_HIT`` if there is none, as an int64 vector.
-
-    Rows are laid out as for ``batch_has_mono_ap``, and d is scanned in the
-    same order.  At each d the lowest set bit of the run mask is the
-    earliest start, so its AP ends first.  A hit row keeps scanning while a
-    larger d could still end earlier, and retires once (k-1)(d+1)+1, the
-    smallest last element at the next d, reaches its best.  Since the
-    coloring of [1, n'] is a prefix of the coloring of [1, n],
-    ``batch_first_hit(words, n, k) <= n'`` is detection on [1, n'] for
-    every n' <= n.
-    """
-    red, blue = words, _blue_rows(words, n, k)
-    first = np.full(words.shape[0], NO_HIT, dtype=np.int64)
-    rows = np.arange(words.shape[0])
-    best = first.copy()
-    for d in range(1, (n - 1) // (k - 1) + 1):
-        runs = _mono_runs(red, blue, d, k)
-        nonzero = runs != 0
-        hit = np.flatnonzero(nonzero.any(axis=1))
-        if hit.size:
-            col = nonzero[hit].argmax(axis=1)
-            word = runs[hit, col]
-            # trailing zeros of the lowest nonzero word: the start's bit
-            low = np.bitwise_count(~word & (word - np.uint64(1)))
-            last = col * WORD_BITS + low.astype(np.int64) + 1 + (k - 1) * d
-            best[hit] = np.minimum(best[hit], last)
-        done = best <= (k - 1) * (d + 1) + 1
-        if done.any():
-            first[rows[done]] = best[done]
-            keep = np.flatnonzero(~done)
-            if keep.size == 0:
-                return first
-            red, blue, rows = red.take(keep, 0), blue.take(keep, 0), rows[keep]
-            best = best[keep]
-    first[rows] = best
-    return first
+    _check_rows(words, n, k)
+    planes = _mono_counts(_bitsliced(words, n), n, k)
+    return _plane_values(planes, words.shape[0])

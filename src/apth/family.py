@@ -160,7 +160,19 @@ class BlockPlan:
     q: int
     s: int
     r: int
-    blocks: tuple[tuple[int, int], ...]
+
+    @property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        """The (first, last) elements of each block, the residual last.
+
+        Built on demand: with n near 2^40 there are about 10^6 blocks, and
+        the block bound needs only q, s and r.
+        """
+        s = self.s
+        blocks = tuple((i * s + 1, (i + 1) * s) for i in range(self.q))
+        if self.r > 0:
+            blocks += ((self.q * s + 1, self.n),)
+        return blocks
 
 
 def large_diff_family(k: int, n: int) -> APFamily:
@@ -338,10 +350,7 @@ def block_plan(n: int, q: int) -> BlockPlan:
             f"residual r={r} violate the constraint 0 <= r < s "
             f"(q^2 <= n suffices)"
         )
-    blocks = tuple((i * s + 1, (i + 1) * s) for i in range(q))
-    if r > 0:
-        blocks += ((q * s + 1, n),)
-    return BlockPlan(n=n, q=q, s=s, r=r, blocks=blocks)
+    return BlockPlan(n=n, q=q, s=s, r=r)
 
 
 def block_count(f: float) -> int:

@@ -11,31 +11,25 @@ estimated probability is *exactly* nondecreasing in n at fixed sample count.
 That, plus monotonicity of the true probability (verified exactly at small
 scale in :mod:`apth.probability`), is what makes bisection on n sound.
 
-The coupling also makes the estimate an exact empirical CDF: with N_i the
-first-hit time of sample i (the smallest last element of a monochromatic
-k-AP in its coloring), p_hat(n) over m samples is #{i < m : N_i <= n} / m.
-``threshold_search`` therefore computes N_i once per sample, up to a
-horizon a little past the point that asked for it, and answers every
-search point from those times; it recomputes a sample only when a later
-point lies beyond the horizon of a sample still without a hit.
+The same prefix property lets ``threshold_search`` carry what it learns
+from point to point: a sample with a monochromatic k-AP in [1, n] has one
+in every longer prefix, and a sample without one has none in any shorter
+prefix.  Each sample therefore keeps the smallest n at which it is known
+to hit and the largest at which it is known to miss, and a search point
+detects only the samples whose status at its n is still unknown.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _philox
-from .coloring import (
-    NO_HIT,
-    _pad_mask,
-    _word_count,
-    batch_first_hit,
-    batch_has_mono_ap,
-)
+from .coloring import _has_rows, _pad_mask, _word_count, batch_has_mono_ap
 from .errors import SearchCeilingError
 from .progressions import _check_k, _check_n
 from .probability import threshold_scale_lower
@@ -79,13 +73,23 @@ def _ranges(samples: int, chunk: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
 
 
-def _map(fn, ranges: list[tuple[int, int]], workers: int) -> list:
-    """``fn(lo, hi)`` for every range, in order, on up to ``workers``
-    threads."""
-    if workers == 1 or len(ranges) == 1:
-        return [fn(lo, hi) for lo, hi in ranges]
+@contextmanager
+def _threads(workers: int):
+    """A pool of ``workers`` threads, or None for one worker (or fewer:
+    callers check the count)."""
+    if workers <= 1:
+        yield None
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: fn(*r), ranges))
+        yield pool
+
+
+def _map(fn, ranges: list[tuple[int, int]], pool: Executor | None) -> list:
+    """``fn(lo, hi)`` for every range, in order, on the threads of
+    ``pool`` (None runs them in the calling thread)."""
+    if pool is None or len(ranges) == 1:
+        return [fn(lo, hi) for lo, hi in ranges]
+    return list(pool.map(lambda r: fn(*r), ranges))
 
 
 #: Normal quantile for 95% two-sided coverage.
@@ -213,17 +217,17 @@ def _count_chunk(k: int, n: int, seed: int, lo: int, hi: int) -> int:
     return int(np.count_nonzero(batch_has_mono_ap(words, n, k)))
 
 
-def _first_hits(
-    k: int, n: int, seed: int, ids: np.ndarray, workers: int
+def _detect(
+    k: int, n: int, seed: int, ids: np.ndarray, workers: int, pool: Executor | None
 ) -> np.ndarray:
-    """``batch_first_hit`` of the colorings of [1, n] of samples ``ids``,
-    computed in generation-buffer ranges."""
-    chunk = _chunk_size(_word_count(n))
+    """Which of the samples ``ids`` have a monochromatic k-AP in [1, n],
+    detected in generation-buffer ranges."""
 
-    def first(lo: int, hi: int) -> np.ndarray:
-        return batch_first_hit(_colorings(seed, ids[lo:hi], n), n, k)
+    def has(lo: int, hi: int) -> np.ndarray:
+        return _has_rows(_colorings(seed, ids[lo:hi], n), n, k)
 
-    return np.concatenate(_map(first, _ranges(ids.size, chunk, workers), workers))
+    ranges = _ranges(ids.size, _chunk_size(_word_count(n)), workers)
+    return np.concatenate(_map(has, ranges, pool))
 
 
 def estimate_prob(
@@ -242,15 +246,10 @@ def estimate_prob(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    chunk = _chunk_size(_word_count(n))
-    successes = sum(
-        _map(
-            lambda lo, hi: _count_chunk(k, n, seed, lo, hi),
-            _ranges(samples, chunk, workers),
-            workers,
-        )
-    )
-    return ProbEstimate.from_counts(k, n, samples, successes, seed)
+    ranges = _ranges(samples, _chunk_size(_word_count(n)), workers)
+    with _threads(workers) as pool:
+        counts = _map(lambda lo, hi: _count_chunk(k, n, seed, lo, hi), ranges, pool)
+    return ProbEstimate.from_counts(k, n, samples, sum(counts), seed)
 
 
 def threshold_search(
@@ -260,6 +259,8 @@ def threshold_search(
     seed: int,
     workers: int = 1,
     ceiling: int | None = None,
+    *,
+    pool: Executor | None = None,
 ) -> ThresholdResult:
     """Locate the n at which the estimated mono probability crosses target.
 
@@ -271,14 +272,15 @@ def threshold_search(
     endpoints still contain the target, the per-point budget is doubled
     (up to 8x) and the bracket re-verified before concluding.
 
-    Every point is answered from per-sample first-hit times (see the module
-    docstring), so the trace holds exactly the ``estimate_prob`` results
-    the points would give.  A sample is computed up to a horizon of
-    n + n//16 for the point n that needs it, so the bisection steps below
-    n reuse it; it is recomputed only if it has no hit by its horizon and
-    a later point lies beyond it.  ``ceiling`` defaults to
-    ``DEFAULT_SEARCH_CEILING``, the widest coloring a generation buffer
-    holds.
+    A point (n, m) detects, on [1, n], only those of its m samples whose
+    status at n earlier points left unknown (see the module docstring),
+    so the trace holds exactly the ``estimate_prob`` results the points
+    would give.  ``ceiling`` defaults to ``DEFAULT_SEARCH_CEILING``, the
+    widest coloring a generation buffer holds.
+
+    Every point runs on one thread pool: ``pool`` if given, else one of
+    ``workers`` threads started for this search.  Work is split into
+    ranges by ``workers`` either way, so results never depend on either.
     """
     _check_k(k)
     if not 0.05 <= target <= 0.95:
@@ -291,29 +293,45 @@ def threshold_search(
     _philox.check_u64(seed, "seed")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    with nullcontext(pool) if pool is not None else _threads(workers) as pool:
+        return _search(k, target, samples, seed, workers, pool, ceiling)
+
+
+def _search(
+    k: int,
+    target: float,
+    samples: int,
+    seed: int,
+    workers: int,
+    pool: Executor | None,
+    ceiling: int | None,
+) -> ThresholdResult:
+    """``threshold_search`` of checked arguments on the threads of ``pool``."""
     if ceiling is None:
         ceiling = _max_n()
     trace: list[tuple[int, ProbEstimate]] = []
     cache: dict[tuple[int, int], ProbEstimate] = {}
-    # first[i] is N_i wherever N_i <= horizon[i]; NO_HIT means N_i > horizon[i]
-    first = np.empty(0, dtype=np.int64)
-    horizon = np.empty(0, dtype=np.int64)
+    # sample i hits on [1, n] for n >= hit_from[i] and misses for n <= miss_to[i]
+    hit_from = np.empty(0, dtype=np.int64)
+    miss_to = np.empty(0, dtype=np.int64)
 
     def estimate(n: int, m: int) -> ProbEstimate:
-        nonlocal first, horizon
+        nonlocal hit_from, miss_to
         key = (n, m)
         if key not in cache:
             _chunk_size(_word_count(n))  # refuse what estimate_prob refuses
-            if m > first.size:
-                grow = m - first.size
-                first = np.concatenate([first, np.full(grow, NO_HIT, np.int64)])
-                horizon = np.concatenate([horizon, np.full(grow, -1, np.int64)])
-            ids = np.flatnonzero((first[:m] == NO_HIT) & (horizon[:m] < n))
+            if m > hit_from.size:
+                grow = m - hit_from.size
+                hit_from = np.concatenate(
+                    [hit_from, np.full(grow, np.iinfo(np.int64).max)]
+                )
+                miss_to = np.concatenate([miss_to, np.full(grow, -1, np.int64)])
+            ids = np.flatnonzero((miss_to[:m] < n) & (n < hit_from[:m]))
             if ids.size:
-                h = min(n + n // 16, max(n, _max_n()))
-                first[ids] = _first_hits(k, h, seed, ids.astype(np.uint64), workers)
-                horizon[ids] = h
-            successes = int(np.count_nonzero(first[:m] <= n))
+                hit = _detect(k, n, seed, ids.astype(np.uint64), workers, pool)
+                hit_from[ids[hit]] = n
+                miss_to[ids[~hit]] = n
+            successes = int(np.count_nonzero(hit_from[:m] <= n))
             e = ProbEstimate.from_counts(k, n, m, successes, seed)
             cache[key] = e
             trace.append((n, e))
@@ -415,11 +433,14 @@ def scaling_report(
             "raise k_budget explicitly to sweep further"
         )
     rows = []
-    for k in range(k_low, k_high + 1):
-        res = threshold_search(
-            k, target, samples, seed, workers=workers, ceiling=ceiling
-        )
-        n_star = res.n_star
+    with _threads(workers) as pool:
+        n_stars = [
+            threshold_search(
+                k, target, samples, seed, workers, ceiling, pool=pool
+            ).n_star
+            for k in range(k_low, k_high + 1)
+        ]
+    for k, n_star in zip(range(k_low, k_high + 1), n_stars):
         scale = 2.0 ** (k / 2.0)
         rows.append(
             ScalingRow(

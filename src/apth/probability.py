@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .coloring import _any_mono, _blue_rows, _mono_counts
+from .coloring import _any_mono, _mono_counts, _padding, _plane_values
 from .errors import BruteForceCapError
 from .family import APFamily, block_count, block_plan, large_diff_family_size
 from .progressions import (
@@ -37,17 +37,33 @@ from .progressions import (
     _check_n,
     contained_in,
     count_aps,
-    element_mask,
+    elements,
     intersection_size,
 )
 
 #: Default exact-enumeration cap: 2^25 colorings after symmetry halving.
 DEFAULT_BRUTE_CAP = 26
 
-#: One-word packing bound; enumeration beyond this is unreachable anyway.
+#: Coloring indices are 64-bit words; enumeration beyond this is
+#: unreachable anyway.
 _HARD_ENUM_LIMIT = 63
 
-_CHUNK = 1 << 20
+#: 64-coloring groups per enumeration chunk: 2^20 colorings.
+_CHUNK = 1 << 14
+
+#: Elements 2..7 of the 64 colorings of one group: element j+2 of the
+#: coloring in bit s is bit j of s.
+_LOW_ELEMENTS = np.array(
+    [
+        0xAAAAAAAAAAAAAAAA,
+        0xCCCCCCCCCCCCCCCC,
+        0xF0F0F0F0F0F0F0F0,
+        0xFF00FF00FF00FF00,
+        0xFFFF0000FFFF0000,
+        0xFFFFFFFF00000000,
+    ],
+    dtype=np.uint64,
+)
 
 
 def _check_cap(n: int, cap: int | None) -> None:
@@ -56,19 +72,33 @@ def _check_cap(n: int, cap: int | None) -> None:
         raise BruteForceCapError(n, cap)
     if n > _HARD_ENUM_LIMIT:
         raise ValueError(
-            f"exact enumeration packs a coloring into one 64-bit word; "
+            f"exact enumeration indexes colorings by 64-bit words; "
             f"n={n} exceeds the architectural limit {_HARD_ENUM_LIMIT}"
         )
 
 
-def _coloring_chunks(n: int) -> Iterator[np.ndarray]:
-    """All colorings of [1, n] with element 1 red, as (rows, 1) uint64
-    chunks: batches of one-word rows for the ``coloring`` kernels."""
+def _coloring_chunks(n: int) -> Iterator[tuple[np.ndarray, int]]:
+    """All colorings of [1, n] with element 1 red, as element-major chunks
+    for the ``coloring`` kernel, each with its number of colorings.
+
+    Coloring y (element j+2 red iff bit j of y is set) sits in bit y % 64
+    of group y // 64.  So element 1 is all ones, elements 2..7 are the
+    fixed ``_LOW_ELEMENTS`` words, and every higher element is all ones or
+    all zeros by one bit of the group index.  For n < 7 the single group
+    holds fewer than 64 colorings; its other slots are padding.
+    """
     half = 1 << (n - 1)
+    groups = -(-half // 64)
+    low = min(n, 7)
     one = np.uint64(1)
-    for lo in range(0, half, _CHUNK):
-        y = np.arange(lo, min(lo + _CHUNK, half), dtype=np.uint64)
-        yield ((y << one) | one).reshape(-1, 1)
+    for lo in range(0, groups, _CHUNK):
+        g = np.arange(lo, min(lo + _CHUNK, groups), dtype=np.uint64)
+        chunk = np.empty((n, g.size), dtype=np.uint64)
+        chunk[0] = ~np.uint64(0)
+        chunk[1:low] = _LOW_ELEMENTS[: low - 1, None]
+        shifts = np.arange(n - low, dtype=np.uint64)[:, None]
+        chunk[low:] = np.uint64(0) - ((g >> shifts) & one)
+        yield chunk, min(64 * g.size, half)
 
 
 @dataclass(frozen=True)
@@ -132,10 +162,10 @@ def exact_prob_mono(k: int, n: int, cap: int | None = None) -> Fraction:
     _check_cap(n, cap)
     if n < k:
         return Fraction(0)
-    hits = sum(
-        int(np.count_nonzero(_any_mono(x, _blue_rows(x, n, k), n, k)))
-        for x in _coloring_chunks(n)
-    )
+    hits = 0
+    for x, count in _coloring_chunks(n):
+        found = _any_mono(x, n, k, _padding(count))
+        hits += int(np.bitwise_count(found).sum()) - (64 * x.shape[1] - count)
     return Fraction(2 * hits, 1 << n)
 
 
@@ -149,8 +179,8 @@ def mono_count_distribution(
     if n < k:
         return ExactDistribution(k, n, {0: 1 << n}, 1 << n)
     hist = np.zeros(count_aps(k, n) + 1, dtype=np.int64)
-    for x in _coloring_chunks(n):
-        counts = _mono_counts(x, _blue_rows(x, n, k), n, k)
+    for x, count in _coloring_chunks(n):
+        counts = _plane_values(_mono_counts(x, n, k), count)
         hist += np.bincount(counts, minlength=hist.shape[0])
     counts = {int(r): 2 * int(c) for r, c in enumerate(hist) if c}
     return ExactDistribution(k, n, counts, 1 << n)
@@ -214,21 +244,20 @@ def union_mono_exact(family: APFamily, s: int, cap: int | None = None) -> int:
     """Exact number of colorings of [1, s] with some family member mono."""
     _check_n(s)
     _check_cap(s, cap)
-    masks = []
+    members = []
     for p in family:
         if not contained_in(p, s):
             raise ValueError(f"member {p} is not contained in [1, {s}]")
-        masks.append(np.uint64(element_mask(p)))
-    if not masks:
+        members.append(np.array(elements(p)) - 1)
+    if not members:
         return 0
-    zero = np.uint64(0)
     hits = 0
-    for x in _coloring_chunks(s):
-        any_mono = np.zeros(x.shape, dtype=bool)
-        for m in masks:
-            held = x & m
-            any_mono |= (held == m) | (held == zero)
-        hits += int(np.count_nonzero(any_mono))
+    for x, count in _coloring_chunks(s):
+        # a member is mono where no element differs from its first
+        mono = np.zeros(x.shape[1], dtype=np.uint64)
+        for e in members:
+            mono |= ~np.bitwise_or.reduce(x[e[1:]] ^ x[e[0]], axis=0)
+        hits += int(np.bitwise_count(mono & ~_padding(count)).sum())
     return 2 * hits
 
 

@@ -29,12 +29,6 @@ def naive_has_mono(bits: int, k: int, n: int) -> bool:
     return any(is_mono(bits, ap) for ap in ap_tuples(k, n))
 
 
-def naive_first_hit(bits: int, k: int, n: int) -> int | None:
-    """Smallest last element of a mono k-AP in [1, n], None if none."""
-    return min((ap[-1] for ap in ap_tuples(k, n) if is_mono(bits, ap)),
-               default=None)
-
-
 def naive_count_mono(bits: int, k: int, n: int) -> int:
     return sum(is_mono(bits, ap) for ap in ap_tuples(k, n))
 
@@ -93,9 +87,10 @@ def naive_greedy(k: int, n: int, seeded: bool = False,
 
 def estimate_driven_search(k, target, samples, seed, workers=1,
                            ceiling=1 << 32):
-    """``threshold_search`` as it was before first-hit times: every point
-    runs ``estimate_prob`` from scratch.  Kept verbatim (argument checks
-    aside) as the reference the first-hit search must reproduce."""
+    """``threshold_search`` with every point run by ``estimate_prob`` from
+    scratch: its walk-down, doubling, bisection and budget escalation
+    verbatim (argument checks aside), the reference the search's
+    per-sample bookkeeping must reproduce."""
     from apth.errors import SearchCeilingError
     from apth.montecarlo import ThresholdResult, estimate_prob
     from apth.probability import threshold_scale_lower

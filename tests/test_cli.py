@@ -236,6 +236,20 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "--k", "10")
         assert code == 2 and "--f" in err
 
+    def test_block_bound_at_the_n_cap_builds_no_blocks(self, capsys):
+        # q = 1,058,486 blocks at n = 2^40; the bound reads only q, s and r
+        tracemalloc.start()
+        try:
+            code, out, _ = run(
+                capsys, "bounds", "--k", "12", "--n", str(1 << 40), "--f", "33000"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out)["p0_upper"]["q"] == 1_058_486
+        assert peak < 1 << 20
+
 
 class TestErrorDiscipline:
     def test_bad_k_names_flag(self, capsys):

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apth import _philox
+from apth import _philox, probability
 from apth.coloring import (
-    NO_HIT,
     Coloring,
     RandomStream,
-    _shift_right_words,
+    _any_mono,
+    _bitsliced,
+    _breaks,
+    _mono_counts,
+    _padding,
+    _plane_values,
     batch_count_mono_aps,
-    batch_first_hit,
     batch_has_mono_ap,
     count_mono_aps,
     has_mono_ap,
@@ -22,7 +25,6 @@ from oracles import (
     ap_tuples,
     is_mono,
     naive_count_mono,
-    naive_first_hit,
     naive_has_mono,
 )
 
@@ -271,16 +273,22 @@ class TestBatchKernel:
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 200])
     def test_shift_into_dirty_buffer(self, n):
-        # the chain reuses one scratch buffer: every word a shift does not
-        # write from the source must be cleared, whatever it held before
-        words = self._random_words(n, 3, n)
-        for bits in range(n + 65):
-            out = np.full_like(words, np.uint64(0xFFFFFFFFFFFFFFFF))
-            got = _shift_right_words(words, bits, out)
-            assert got is out
-            for row, shifted in zip(words, got):
-                value = int.from_bytes(row.astype("<u8").tobytes(), "little")
-                assert _packed(value >> bits, n)[0].tolist() == shifted.tolist()
+        # the chain of every d reuses one scratch buffer: whatever it held
+        # before, the result must be the direct scan of that d
+        words = self._random_words(n, 70, n)
+        bits = _bits(words, n)
+        b = _bitsliced(words, n)
+        buf = np.full_like(b, np.uint64(0xFFFFFFFFFFFFFFFF))
+        for k in (3, 4, 7):
+            for d in range(1, (n - 1) // (k - 1) + 1):
+                got = _breaks(b, d, k, buf)
+                assert np.shares_memory(got, buf)
+                steps = np.arange(n - (k - 1) * d)[:, None] + d * np.arange(k)
+                for r, row in enumerate(bits):
+                    vals = row[steps]
+                    mono = vals.all(axis=1) | ~vals.any(axis=1)
+                    clear = (got[:, r // 64] >> np.uint64(r % 64)) & np.uint64(1) == 0
+                    assert np.array_equal(clear, mono), (n, k, d, r)
 
     def test_batch_rows_match_random_coloring(self):
         # the Monte Carlo engine's row i must be exactly the library
@@ -312,50 +320,100 @@ def _packed(bits: int, n: int) -> np.ndarray:
     )
 
 
-class TestFirstHit:
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) booleans: entry [r, i] is element i+1 of row r."""
+    return np.array([
+        [(int(w) >> b) & 1 for w in row for b in range(64)][:n] for row in words
+    ], dtype=bool).reshape(len(words), n)
+
+
+def _scan_has_mono(bits: np.ndarray, k: int) -> np.ndarray:
+    """Per row of (rows, n) booleans, whether some k-AP is one color: a
+    direct scan over every (start, d), with no chains and no bit-slicing."""
+    n = bits.shape[1]
+    found = np.zeros(bits.shape[0], dtype=bool)
+    for d in range(1, (n - 1) // (k - 1) + 1):
+        steps = np.arange(n - (k - 1) * d)[:, None] + d * np.arange(k)
+        vals = bits[:, steps]
+        found |= (vals.all(axis=2) | ~vals.any(axis=2)).any(axis=1)
+    return found
+
+
+class TestBitSliced:
     _random_words = TestBatchKernel._random_words
 
-    @given(st.integers(3, 5), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_naive_oracle(self, k, data):
-        n = data.draw(
-            st.sampled_from([k - 1, k, 63, 64, 65, 129])
-            | st.integers(k, 140)
-        )
-        bits = data.draw(st.integers(0, (1 << n) - 1))
-        got = int(batch_first_hit(_packed(bits, n), n, k)[0])
-        expected = naive_first_hit(bits, k, n)
-        assert got == (NO_HIT if expected is None else expected)
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("rows", [1, 63, 65, 130])
+    def test_transpose_and_padding(self, n, rows):
+        words = self._random_words(rows + n, rows, n)
+        b = _bitsliced(words, n)
+        assert b.shape == (n, -(-rows // 64))
+        bits = _bits(words, n)
+        for r in range(-(-rows // 64) * 64):
+            col = (b[:, r // 64] >> np.uint64(r % 64)) & np.uint64(1)
+            # padding slots read as blue
+            expected = bits[r] if r < rows else np.zeros(n, dtype=bool)
+            assert np.array_equal(col.astype(bool), expected), (n, rows, r)
+        for k in (3, 4):
+            has = batch_has_mono_ap(words, n, k)
+            counts = batch_count_mono_aps(words, n, k)
+            assert has.shape == counts.shape == (rows,)
+            assert has.tolist() == _scan_has_mono(bits, k).tolist()
+            assert has.tolist() == (counts > 0).tolist()
 
-    @pytest.mark.parametrize("k", [3, 4, 5, 8])
-    def test_prefixes_match_detection(self, k):
-        # one first-hit pass on [1, 200] answers detection on every prefix
-        big = 200
-        words = self._random_words(2024 + k, 96, big)
-        first = batch_first_hit(words, big, k)
-        for n in range(1, big + 1):
-            nwords = -(-n // 64)
-            prefix = words[:, :nwords].copy()
-            top = n - (nwords - 1) * 64
-            if top < 64:
-                prefix[:, -1] &= np.uint64((1 << top) - 1)
-            got = batch_has_mono_ap(prefix, n, k)
-            assert np.array_equal(first <= n, got), (k, n)
+    def test_padding_slots_never_count(self):
+        # 70 all-blue rows: the 58 padding slots of the second group are
+        # blue too, and must neither be reported nor keep the group alive
+        words = np.zeros((70, 1), dtype=np.uint64)
+        found = _any_mono(_bitsliced(words, 5), 5, 3, _padding(70))
+        assert found[0] == np.uint64(0xFFFFFFFFFFFFFFFF)
+        assert found[1] == np.uint64(0xFFFFFFFFFFFFFFFF)
+        assert np.bitwise_count(found & ~_padding(70)).sum() == 70
+        planes = _mono_counts(_bitsliced(words, 5), 5, 3)
+        assert _plane_values(planes, 70).tolist() == [4] * 70
 
-    # van der Waerden numbers W(2; k) (Kouril & Paul, Exp. Math. 2008):
-    # every coloring of [1, W] has a mono k-AP, so every first hit is <= W
-    @pytest.mark.parametrize("k, w", [(4, 35), (5, 178), (6, 1132)])
-    def test_van_der_waerden_points(self, k, w):
-        words = self._random_words(k, 64, w + 70)
-        first = batch_first_hit(words, w + 70, k)
-        assert (first <= w).all()
-        assert (first >= k).all()
+    def test_prefix_first_pass(self):
+        # at k=16 the prefix pass covers [1, 960]; with these rows some hit
+        # there, some only beyond it, and some not at all
+        k, n = 16, 1600
+        words = self._random_words(7, 40, n)
+        expected = _scan_has_mono(_bits(words, n), k)
+        # rows without a hit first, so the first survivor of the prefix
+        # pass must come out False
+        words = words[np.argsort(expected, kind="stable")]
+        bits = _bits(words, n)
+        in_prefix = _scan_has_mono(bits[:, : 64 * (k - 1)], k)
+        expected = _scan_has_mono(bits, k)
+        assert in_prefix.any()
+        assert (expected & ~in_prefix).any()
+        assert (~expected).any()
+        assert batch_has_mono_ap(words, n, k).tolist() == expected.tolist()
+        assert (batch_count_mono_aps(words, n, k) > 0).tolist() == expected.tolist()
 
-    def test_no_ap_possible(self):
-        words = self._random_words(5, 16, 3)
-        assert (batch_first_hit(words, 3, 4) == NO_HIT).all()
-
-    def test_shape_validation(self):
-        words = self._random_words(5, 4, 100)
-        with pytest.raises(ValueError):
-            batch_first_hit(words, 200, 3)
+    @pytest.mark.parametrize("groups_per_chunk", [1, 1 << 14])
+    def test_enumerated_chunks_match_packed_rows(self, monkeypatch, groups_per_chunk):
+        # the exact oracles build element-major chunks directly; they must
+        # be the transpose of the one-word rows (y << 1) | 1 they enumerate
+        monkeypatch.setattr(probability, "_CHUNK", groups_per_chunk)
+        for n in range(1, 17):
+            y = np.arange(1 << (n - 1), dtype=np.uint64)
+            rows = ((y << np.uint64(1)) | np.uint64(1)).reshape(-1, 1)
+            chunks = list(probability._coloring_chunks(n))
+            assert sum(count for _, count in chunks) == rows.shape[0]
+            got = np.concatenate([x for x, _ in chunks], axis=1)
+            valid = ~_padding(rows.shape[0])
+            assert np.array_equal(got & valid, _bitsliced(rows, n)), n
+            for k in range(3, 7):
+                has = np.concatenate([
+                    np.unpackbits(
+                        _any_mono(x, n, k, _padding(count)).view(np.uint8),
+                        count=count, bitorder="little",
+                    )
+                    for x, count in chunks
+                ]).astype(bool)
+                counts = np.concatenate([
+                    _plane_values(_mono_counts(x, n, k), count)
+                    for x, count in chunks
+                ])
+                assert has.tolist() == batch_has_mono_ap(rows, n, k).tolist()
+                assert counts.tolist() == batch_count_mono_aps(rows, n, k).tolist()

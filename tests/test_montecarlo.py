@@ -227,7 +227,7 @@ class TestThresholdSearch:
         assert threshold_search(k, target, 300, 2026, workers=workers) == ref
 
     def test_capped_horizons_match(self, monkeypatch):
-        # a 4-word budget caps the horizon at n = 256, where doubling lands
+        # a 4-word budget caps rows at n = 256, where doubling lands
         monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 4)
         ref = estimate_driven_search(10, 0.95, 60, 1, ceiling=256)
         assert 256 in [n for n, _ in ref.trace]
@@ -240,6 +240,24 @@ class TestThresholdSearch:
         with pytest.raises(SearchCeilingError) as exc:
             threshold_search(12, 0.9, 200, 3)
         assert exc.value.ceiling == 256
+
+    def test_one_pool_per_search(self, monkeypatch):
+        started = []
+
+        class Counted(montecarlo.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        ref = threshold_search(12, 0.5, 600, 3)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Counted)
+        assert threshold_search(12, 0.5, 600, 3, workers=2) == ref
+        assert started == [2]
+        assert threshold_search(12, 0.5, 600, 3) == ref
+        assert started == [2]
+        with Counted(max_workers=3) as pool:
+            assert threshold_search(12, 0.5, 600, 3, workers=3, pool=pool) == ref
+        assert started == [2, 3]
 
     def test_trace_records_every_evaluation(self):
         res = threshold_search(3, 0.5, 3000, 17)
@@ -274,6 +292,19 @@ class TestScalingReport:
         a = scaling_report(3, 4, 0.5, 1500, 5)
         b = scaling_report(3, 4, 0.5, 1500, 5, workers=3)
         assert a == b
+
+    def test_one_pool_per_report(self, monkeypatch):
+        started = []
+
+        class Counted(montecarlo.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        ref = scaling_report(8, 11, 0.5, 300, 5)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Counted)
+        assert scaling_report(8, 11, 0.5, 300, 5, workers=2) == ref
+        assert started == [2]
 
     def test_ratio_envelope(self):
         # n_star / (2^(k/2) sqrt(k)) should not wander by more than 8x

@@ -242,9 +242,9 @@ class TestUnionExact:
 class TestChunkedEnumeration:
     @pytest.mark.parametrize("k, n", [(3, 12), (4, 13)])
     def test_many_chunks_match_naive(self, monkeypatch, k, n):
-        # hundreds of 8-coloring chunks: every chunk boundary must neither
-        # drop nor repeat a coloring
-        monkeypatch.setattr(probability, "_CHUNK", 8)
+        # dozens of one-group (64-coloring) chunks: every chunk boundary
+        # must neither drop nor repeat a coloring
+        monkeypatch.setattr(probability, "_CHUNK", 1)
         assert exact_prob_mono(k, n) == naive_prob_mono(k, n)
         assert mono_count_distribution(k, n).counts == naive_distribution(k, n)
         fam = large_diff_family(k, n)
