@@ -238,7 +238,7 @@ def _bitsliced(words: np.ndarray, n: int) -> np.ndarray:
     out_bytes = out.view(np.uint8)
     step = max(8, _SLAB_WORDS // nwords // 8 * 8)
     for lo in range(0, rows, step):
-        slab = words[lo : lo + step]
+        slab = np.ascontiguousarray(words[lo : lo + step], dtype=np.uint64)
         octets = -(-slab.shape[0] // 8)
         gathered = np.zeros((8 * nwords, 8 * octets), dtype=np.uint8)
         gathered[:, : slab.shape[0]] = slab.view(np.uint8).T

@@ -322,9 +322,8 @@ def _packed(bits: int, n: int) -> np.ndarray:
 
 def _bits(words: np.ndarray, n: int) -> np.ndarray:
     """(rows, n) booleans: entry [r, i] is element i+1 of row r."""
-    return np.array([
-        [(int(w) >> b) & 1 for w in row for b in range(64)][:n] for row in words
-    ], dtype=bool).reshape(len(words), n)
+    as_bytes = words.astype("<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :n].view(bool)
 
 
 def _scan_has_mono(bits: np.ndarray, k: int) -> np.ndarray:
@@ -360,6 +359,9 @@ class TestBitSliced:
             assert has.shape == counts.shape == (rows,)
             assert has.tolist() == _scan_has_mono(bits, k).tolist()
             assert has.tolist() == (counts > 0).tolist()
+            # any memory layout of the rows reads the same
+            strided = np.asfortranarray(words)
+            assert batch_has_mono_ap(strided, n, k).tolist() == has.tolist()
 
     def test_padding_slots_never_count(self):
         # 70 all-blue rows: the 58 padding slots of the second group are
