@@ -189,8 +189,6 @@ def mono_in_family(c: Coloring, family: APFamily) -> bool:
     return False
 
 
-
-
 # --- bit-sliced kernel ------------------------------------------------------
 #
 # Element-major matrices: B[i, g] holds element i+1 of samples 64g..64g+63,

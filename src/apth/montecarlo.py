@@ -91,8 +91,9 @@ def _batch_ranges(samples: int, n: int, workers: int) -> list[tuple[int, int]]:
 
 @contextmanager
 def _threads(workers: int):
-    """A pool of ``workers`` threads, or None for one worker (or fewer:
-    callers check the count)."""
+    """A pool of ``workers`` threads, or None for a single worker.  A
+    count below one also gives None, leaving its error to the caller's
+    argument checks."""
     if workers <= 1:
         yield None
         return
