@@ -234,7 +234,7 @@ def _bitsliced(words: np.ndarray, n: int) -> np.ndarray:
     rows, nwords = words.shape
     out = np.zeros((n, -(-rows // WORD_BITS)), dtype=np.uint64)
     out_bytes = out.view(np.uint8)
-    step = max(8, _SLAB_WORDS // nwords // 8 * 8)
+    step = max(8, _SLAB_WORDS // max(nwords, 1) // 8 * 8)
     for lo in range(0, rows, step):
         slab = np.ascontiguousarray(words[lo : lo + step], dtype=np.uint64)
         octets = -(-slab.shape[0] // 8)

@@ -374,6 +374,13 @@ class TestBitSliced:
         planes = _mono_counts(_bitsliced(words, 5), 5, 3)
         assert _plane_values(planes, 70).tolist() == [4] * 70
 
+    @pytest.mark.parametrize("n", [1, 64, 200])
+    def test_empty_batch(self, n):
+        words = np.zeros((0, -(-n // 64)), dtype=np.uint64)
+        assert batch_has_mono_ap(words, n, 3).shape == (0,)
+        counts = batch_count_mono_aps(words, n, 3)
+        assert counts.shape == (0,) and counts.dtype == np.int64
+
     def test_prefix_first_pass(self):
         # at k=16 the prefix pass covers [1, 960]; with these rows some hit
         # there, some only beyond it, and some not at all
