@@ -10,6 +10,7 @@ from apth.coloring import (
     _any_mono,
     _bitsliced,
     _breaks,
+    _has_rows,
     _mono_counts,
     _padding,
     _plane_values,
@@ -310,6 +311,63 @@ class TestBatchKernel:
             batch_has_mono_ap(words, 200, 3)
         with pytest.raises(ValueError):
             batch_count_mono_aps(words, 200, 3)
+
+
+def _prefix(words: np.ndarray, n: int) -> np.ndarray:
+    """Rows cut to their coloring of [1, n]: ceil(n/64) words, zero above n."""
+    nwords = -(-n // 64)
+    prefix = words[:, :nwords].copy()
+    top = n - (nwords - 1) * 64
+    if top < 64:
+        prefix[:, -1] &= np.uint64((1 << top) - 1)
+    return prefix
+
+
+class TestFirstHit:
+    # The first hit of a coloring is the smallest n whose prefix [1, n]
+    # holds a monochromatic k-AP; the threshold search brackets it per
+    # sample between miss_to and hit_from, detecting on prefixes through
+    # _has_rows.  These check first hits through the kernels on prefixes
+    # of wider rows.
+    _random_words = TestBatchKernel._random_words
+
+    # van der Waerden numbers W(2; k) (Kouril & Paul, Exp. Math. 2008):
+    # every coloring of [1, W] has a mono k-AP, so every first hit lies
+    # in [k, W]
+    @pytest.mark.parametrize("k, w", [(4, 35), (5, 178), (6, 1132)])
+    def test_van_der_waerden_points(self, k, w):
+        words = self._random_words(k, 64, w + 70)
+        at_w = _prefix(words, w)
+        assert batch_has_mono_ap(at_w, w, k).all()
+        assert _has_rows(at_w, w, k).all()
+        assert (batch_count_mono_aps(at_w, w, k) > 0).all()
+        below_k = _prefix(words, k - 1)
+        assert not batch_has_mono_ap(below_k, k - 1, k).any()
+        assert not _has_rows(below_k, k - 1, k).any()
+
+    def test_no_ap_possible(self):
+        # no first hit comes before k: a prefix shorter than k holds no k-AP
+        words = self._random_words(5, 16, 3)
+        for k in (4, 5, 8):
+            for n in range(1, 4):
+                prefix = _prefix(words, n)
+                assert not batch_has_mono_ap(prefix, n, k).any(), (k, n)
+                assert not _has_rows(prefix, n, k).any(), (k, n)
+                assert not batch_count_mono_aps(prefix, n, k).any(), (k, n)
+
+    def test_shape_validation(self):
+        # a prefix must be cut to exactly ceil(n/64) words
+        words = self._random_words(5, 4, 100)
+        with pytest.raises(ValueError):
+            batch_has_mono_ap(words, 200, 3)
+        with pytest.raises(ValueError):
+            batch_count_mono_aps(words, 200, 3)
+        wide = self._random_words(5, 4, 200)
+        with pytest.raises(ValueError):
+            batch_has_mono_ap(wide, 100, 3)
+        with pytest.raises(ValueError):
+            batch_count_mono_aps(wide, 100, 3)
+        assert batch_has_mono_ap(_prefix(wide, 100), 100, 3).shape == (4,)
 
 
 def _packed(bits: int, n: int) -> np.ndarray:
