@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Iterable, Iterator, Sequence
@@ -452,7 +453,7 @@ def _dispatch(args) -> str:
         )
         obj: dict = {"k": args.k, "version": __version__}
         if args.f is not None:
-            _require(args.f >= 1, "--f must be >= 1")
+            _require(1 <= args.f < math.inf, "--f must be finite and >= 1")
             n = args.n if args.n is not None else threshold_scale_upper(args.k, args.f)
             rep = p0_upper_blocks(args.k, n, args.f)
             obj["n_upper_scale"] = threshold_scale_upper(args.k, args.f)
@@ -483,10 +484,9 @@ def _dispatch(args) -> str:
         _require(args.k >= 3, "--k must be >= 3")
         _require(0.05 <= args.target <= 0.95, "--target must be in [0.05, 0.95]")
         _require(args.samples >= 1, "--samples must be >= 1")
-        kwargs = {"workers": args.workers}
-        if args.ceiling is not None:
-            kwargs["ceiling"] = args.ceiling
-        res = threshold_search(args.k, args.target, args.samples, args.seed, **kwargs)
+        res = threshold_search(
+            args.k, args.target, args.samples, args.seed, args.workers, args.ceiling
+        )
         return emit_sweep(res)
 
     if sc == "report":
@@ -494,11 +494,9 @@ def _dispatch(args) -> str:
         _require(args.k_high >= args.k_low, "--k-high must be >= --k-low")
         _require(0.05 <= args.target <= 0.95, "--target must be in [0.05, 0.95]")
         _require(args.samples >= 1, "--samples must be >= 1")
-        kwargs = {"workers": args.workers, "k_budget": args.k_budget}
-        if args.ceiling is not None:
-            kwargs["ceiling"] = args.ceiling
         rep = scaling_report(
-            args.k_low, args.k_high, args.target, args.samples, args.seed, **kwargs
+            args.k_low, args.k_high, args.target, args.samples, args.seed,
+            args.workers, args.ceiling, args.k_budget,
         )
         return emit_report(rep, args.format)
 

@@ -15,9 +15,10 @@ operations, and each operation shortens the chain, so the last one holds
 exactly the valid starts and no padding masks are needed.  A 64-sample
 group leaves the scan once all of its samples have hit.
 
-The Monte Carlo engine, the scalar ``Coloring`` API (a batch of one row)
-and the exact oracles (which build element-major chunks directly) all
-call this kernel.  Besides detection, it counts monochromatic k-APs per
+The Monte Carlo engine (which stages its detection on prefixes itself),
+the scalar ``Coloring`` API (a batch of one row) and the exact oracles
+(which build element-major chunks directly) all call this kernel, which
+has one path.  Besides detection, it counts monochromatic k-APs per
 sample in vertical bit-plane counters.  Its agreement with direct scans
 over element tuples is asserted by the test suite.
 """
@@ -365,32 +366,18 @@ def _plane_values(planes: np.ndarray, samples: int) -> np.ndarray:
     return _bitsliced(planes, samples)[:, 0].view(np.int64)
 
 
-def _has_rows(words: np.ndarray, n: int, k: int) -> np.ndarray:
-    """``batch_has_mono_ap`` of checked rows, scanned in full."""
-    rows = words.shape[0]
-    found = _any_mono(_bitsliced(words, n), n, k, _padding(rows))
-    return np.unpackbits(found.view(np.uint8), count=rows, bitorder="little").view(bool)
-
-
 def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
     """Vectorized ``has_mono_ap`` over a (rows, words) matrix of colorings.
 
     Row r packs a coloring of [1, n] into ceil(n/64) little-endian words
-    with zero padding above n.  Returns a boolean vector.
-
-    Rows are first scanned on their first k-1 words, the prefix
-    [1, 64(k-1)]; only the rows without a hit there are bit-sliced and
-    scanned in full.  In supercritical batches nearly every row hits
-    early, so most rows are never transposed whole.
+    with zero padding above n.  Returns a boolean vector.  Every row is
+    bit-sliced and scanned on all of [1, n]; callers that expect most rows
+    to hit early detect on a prefix first (see ``apth.montecarlo``).
     """
     _check_rows(words, n, k)
-    head = WORD_BITS * (k - 1)
-    if head >= n:
-        return _has_rows(words, n, k)
-    found = _has_rows(words[:, : k - 1], head, k)
-    rest = np.flatnonzero(~found)
-    found[rest] = _has_rows(words.take(rest, axis=0), n, k)
-    return found
+    rows = words.shape[0]
+    found = _any_mono(_bitsliced(words, n), n, k, _padding(rows))
+    return np.unpackbits(found.view(np.uint8), count=rows, bitorder="little").view(bool)
 
 
 def batch_count_mono_aps(words: np.ndarray, n: int, k: int) -> np.ndarray:

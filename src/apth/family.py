@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import inf
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -353,19 +353,22 @@ def block_plan(n: int, q: int) -> BlockPlan:
     return BlockPlan(n=n, q=q, s=s, r=r)
 
 
+def _check_f(f: float) -> None:
+    if not 1 <= f < inf:
+        raise ValueError(f"scale parameter f must be finite and >= 1, got {f}")
+
+
 def block_count(f: float) -> int:
     """floor(f^(4/3)), the block count used at scale parameter f.
 
-    Exact for inputs whose 4/3 power is an integer (e.g. f=8 -> 16):
-    the floor is found by integer comparison of c^3 against f^4 rather
-    than by floating-point powering.
+    The integer cube root of floor(f^4), by Newton's method on integers:
+    exact where floats are not (8 ** (4/3) is 15.999...), and a few dozen
+    steps even for huge f.
     """
-    if f < 1:
-        raise ValueError(f"scale parameter f must be >= 1, got {f}")
-    f4 = Fraction(f) ** 4
-    c = floor(float(f) ** (4.0 / 3.0))
-    while Fraction((c + 1) ** 3) <= f4:
-        c += 1
-    while c >= 1 and Fraction(c**3) > f4:
-        c -= 1
+    _check_f(f)
+    x = int(Fraction(f) ** 4)
+    # start above the root; a step from above never falls below it
+    c = 1 << -(-x.bit_length() // 3)
+    while c**3 > x:
+        c = (2 * c + x // (c * c)) // 3
     return c

@@ -11,6 +11,10 @@ estimated probability is *exactly* nondecreasing in n at fixed sample count.
 That, plus monotonicity of the true probability (verified exactly at small
 scale in :mod:`apth.probability`), is what makes bisection on n sound.
 
+Estimates are staged on it: ``estimate_prob`` detects every sample on
+[1, 64(k-1)] first and generates [1, n] only for the samples that missed
+there, so past the threshold most rows are never generated whole.
+
 The same prefix property lets ``threshold_search`` carry what it learns
 from point to point: a sample with a monochromatic k-AP in [1, n] has one
 in every longer prefix, and a sample without one has none in any shorter
@@ -23,13 +27,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _philox
-from .coloring import _has_rows, _pad_mask, _word_count, batch_has_mono_ap
+from .coloring import WORD_BITS, _pad_mask, _word_count, batch_has_mono_ap
 from .errors import SearchCeilingError
 from .progressions import _check_k, _check_n
 from .probability import threshold_scale_lower
@@ -39,16 +43,13 @@ from .probability import threshold_scale_lower
 #: sample i is keyed by its absolute index.
 _CHUNK_WORDS = 1 << 18
 
-#: Hard ceiling for threshold bracketing: the widest coloring one
-#: generation buffer holds, so a runaway search stops with
-#: SearchCeilingError before the estimates refuse the row width.
-DEFAULT_SEARCH_CEILING = 64 * _CHUNK_WORDS
-
 
 def _max_n() -> int:
-    """Widest coloring a generation buffer holds (``_CHUNK_WORDS`` is read
-    at call time, so tests can shrink it)."""
-    return 64 * _CHUNK_WORDS
+    """Widest coloring a generation buffer holds, and the default ceiling
+    of a threshold search, so a runaway search stops with
+    SearchCeilingError before the estimates refuse the row width.
+    ``_CHUNK_WORDS`` is read at call time, so tests can shrink it."""
+    return WORD_BITS * _CHUNK_WORDS
 
 
 def _chunk_size(nwords: int) -> int:
@@ -229,9 +230,20 @@ def _colorings(seed: int, ids: np.ndarray, n: int) -> np.ndarray:
     return words
 
 
-def _count_chunk(k: int, n: int, seed: int, lo: int, hi: int) -> int:
-    words = _colorings(seed, np.arange(lo, hi, dtype=np.uint64), n)
-    return int(np.count_nonzero(batch_has_mono_ap(words, n, k)))
+def _hits(k: int, n: int, seed: int, ids: np.ndarray) -> np.ndarray:
+    """Which of the samples ``ids`` have a monochromatic k-AP in [1, n]."""
+    return batch_has_mono_ap(_colorings(seed, ids, n), n, k)
+
+
+def _count_hits(k: int, n: int, seed: int, lo: int, hi: int) -> int:
+    """Successes among samples lo..hi-1, detected in two stages."""
+    ids = np.arange(lo, hi, dtype=np.uint64)
+    head = min(n, WORD_BITS * (k - 1))
+    misses = ids[~_hits(k, head, seed, ids)]
+    successes = ids.size - misses.size
+    if head < n and misses.size:
+        successes += int(np.count_nonzero(_hits(k, n, seed, misses)))
+    return successes
 
 
 def _detect(
@@ -239,11 +251,26 @@ def _detect(
 ) -> np.ndarray:
     """Which of the samples ``ids`` have a monochromatic k-AP in [1, n],
     detected in generation-buffer ranges."""
+    ranges = _batch_ranges(ids.size, n, workers)
+    hits = _map(lambda lo, hi: _hits(k, n, seed, ids[lo:hi]), ranges, pool)
+    return np.concatenate(hits)
 
-    def has(lo: int, hi: int) -> np.ndarray:
-        return _has_rows(_colorings(seed, ids[lo:hi], n), n, k)
 
-    return np.concatenate(_map(has, _batch_ranges(ids.size, n, workers), pool))
+def _check_target(target: float) -> None:
+    if not 0.05 <= target <= 0.95:
+        raise ValueError(
+            f"target must lie in [0.05, 0.95], got {target} "
+            "(estimation near 0 or 1 is sample-inefficient)"
+        )
+
+
+def _check_run(samples: int, seed: int, workers: int) -> None:
+    """Check the sample count, seed and worker count of a Monte Carlo run."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    _philox.check_u64(seed, "seed")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def estimate_prob(
@@ -252,19 +279,15 @@ def estimate_prob(
     """Estimate P(a uniform coloring of [1, n] has a mono k-AP).
 
     Sample i is the coloring drawn from stream (seed, i); successes are
-    counted with the batch detection kernel.  The result is a pure
-    function of (k, n, samples, seed) regardless of ``workers``.
+    counted in the two stages the module docstring describes.  The result
+    is a pure function of (k, n, samples, seed) regardless of ``workers``.
     """
     _check_k(k)
     _check_n(n)
-    _philox.check_u64(seed, "seed")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_run(samples, seed, workers)
     ranges = _batch_ranges(samples, n, workers)
     with _threads(workers) as pool:
-        counts = _map(lambda lo, hi: _count_chunk(k, n, seed, lo, hi), ranges, pool)
+        counts = _map(lambda lo, hi: _count_hits(k, n, seed, lo, hi), ranges, pool)
     return ProbEstimate.from_counts(k, n, samples, sum(counts), seed)
 
 
@@ -275,8 +298,6 @@ def threshold_search(
     seed: int,
     workers: int = 1,
     ceiling: int | None = None,
-    *,
-    pool: Executor | None = None,
 ) -> ThresholdResult:
     """Locate the n at which the estimated mono probability crosses target.
 
@@ -291,25 +312,16 @@ def threshold_search(
     A point (n, m) detects, on [1, n], only those of its m samples whose
     status at n earlier points left unknown (see the module docstring),
     so the trace holds exactly the ``estimate_prob`` results the points
-    would give.  ``ceiling`` defaults to ``DEFAULT_SEARCH_CEILING``, the
-    widest coloring a generation buffer holds.
+    would give.  ``ceiling`` defaults to ``_max_n()``, the widest coloring
+    a generation buffer holds.
 
-    Every point runs on one thread pool: ``pool`` if given, else one of
-    ``workers`` threads started for this search.  Work is split into
-    ranges by ``workers`` either way, so results never depend on either.
+    Every point runs on one pool of ``workers`` threads; results never
+    depend on ``workers``.
     """
     _check_k(k)
-    if not 0.05 <= target <= 0.95:
-        raise ValueError(
-            f"target must lie in [0.05, 0.95], got {target} "
-            "(estimation near 0 or 1 is sample-inefficient)"
-        )
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    _philox.check_u64(seed, "seed")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    with nullcontext(pool) if pool is not None else _threads(workers) as pool:
+    _check_target(target)
+    _check_run(samples, seed, workers)
+    with _threads(workers) as pool:
         return _search(k, target, samples, seed, workers, pool, ceiling)
 
 
@@ -448,12 +460,12 @@ def scaling_report(
             f"k_high={k_high} exceeds the runtime budget k_budget={k_budget}; "
             "raise k_budget explicitly to sweep further"
         )
+    _check_target(target)
+    _check_run(samples, seed, workers)
     rows = []
     with _threads(workers) as pool:
         n_stars = [
-            threshold_search(
-                k, target, samples, seed, workers, ceiling, pool=pool
-            ).n_star
+            _search(k, target, samples, seed, workers, pool, ceiling).n_star
             for k in range(k_low, k_high + 1)
         ]
     for k, n_star in zip(range(k_low, k_high + 1), n_stars):

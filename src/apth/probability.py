@@ -30,7 +30,7 @@ import numpy as np
 
 from .coloring import _any_mono, _mono_counts, _padding, _plane_values
 from .errors import BruteForceCapError
-from .family import APFamily, block_count, block_plan, large_diff_family_size
+from .family import APFamily, _check_f, block_count, block_plan, large_diff_family_size
 from .progressions import (
     Progression,
     _check_k,
@@ -289,8 +289,6 @@ def p0_upper_blocks(k: int, n: int, f: float) -> BoundReport:
     never assumed.
     """
     _check_k(k)
-    if f < 1:
-        raise ValueError(f"scale parameter f must be >= 1, got {f}")
     plan = block_plan(n, block_count(f))
     size = large_diff_family_size(k, plan.s)
     s2 = plan.s * plan.s
@@ -334,8 +332,7 @@ def threshold_scale_upper(k: int, f: float) -> int:
     """floor(2^(k/2) * k^(3/2) * f): the interval length at which a mono
     k-AP becomes almost certain as k grows (for f growing with k)."""
     _check_k(k)
-    if f < 1:
-        raise ValueError(f"scale parameter f must be >= 1, got {f}")
+    _check_f(f)
     return _floor_sqrt(Fraction(f) ** 2 * (1 << k) * k**3)
 
 

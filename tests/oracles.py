@@ -65,6 +65,20 @@ def naive_pair_count(p: tuple[int, ...], q: tuple[int, ...], s: int) -> int:
     )
 
 
+def naive_block_count(f) -> int:
+    """floor(f^(4/3)) for f >= 1: the largest integer c with c^3 <= f^4,
+    found by bisection on exact rationals."""
+    f4 = Fraction(f) ** 4
+    lo, hi = 0, int(f4) + 1  # c = f4 + 1 > f4^(1/3) already fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if Fraction(mid) ** 3 <= f4:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def naive_greedy(k: int, n: int, seeded: bool = False,
                  order: str = "lex_by_diff_start") -> list[tuple[int, int]]:
     """Greedy almost-disjoint family as (start, diff) pairs: offer the

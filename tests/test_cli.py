@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -249,6 +250,15 @@ class TestBounds:
         assert code == 0
         assert json.loads(out)["p0_upper"]["q"] == 1_058_486
         assert peak < 1 << 20
+
+
+    @pytest.mark.parametrize("f", ["1e20", "1e300", "inf"])
+    def test_huge_or_infinite_f_is_usage_error(self, capsys, f):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "--k", "3", "--f", f)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: 2: ")
 
 
 class TestErrorDiscipline:

@@ -10,7 +10,6 @@ from apth.coloring import (
     _any_mono,
     _bitsliced,
     _breaks,
-    _has_rows,
     _mono_counts,
     _padding,
     _plane_values,
@@ -327,8 +326,8 @@ class TestFirstHit:
     # The first hit of a coloring is the smallest n whose prefix [1, n]
     # holds a monochromatic k-AP; the threshold search brackets it per
     # sample between miss_to and hit_from, detecting on prefixes through
-    # _has_rows.  These check first hits through the kernels on prefixes
-    # of wider rows.
+    # batch_has_mono_ap.  These check first hits through the kernels on
+    # prefixes of wider rows.
     _random_words = TestBatchKernel._random_words
 
     # van der Waerden numbers W(2; k) (Kouril & Paul, Exp. Math. 2008):
@@ -339,11 +338,9 @@ class TestFirstHit:
         words = self._random_words(k, 64, w + 70)
         at_w = _prefix(words, w)
         assert batch_has_mono_ap(at_w, w, k).all()
-        assert _has_rows(at_w, w, k).all()
         assert (batch_count_mono_aps(at_w, w, k) > 0).all()
         below_k = _prefix(words, k - 1)
         assert not batch_has_mono_ap(below_k, k - 1, k).any()
-        assert not _has_rows(below_k, k - 1, k).any()
 
     def test_no_ap_possible(self):
         # no first hit comes before k: a prefix shorter than k holds no k-AP
@@ -352,7 +349,6 @@ class TestFirstHit:
             for n in range(1, 4):
                 prefix = _prefix(words, n)
                 assert not batch_has_mono_ap(prefix, n, k).any(), (k, n)
-                assert not _has_rows(prefix, n, k).any(), (k, n)
                 assert not batch_count_mono_aps(prefix, n, k).any(), (k, n)
 
     def test_shape_validation(self):
@@ -438,24 +434,6 @@ class TestBitSliced:
         assert batch_has_mono_ap(words, n, 3).shape == (0,)
         counts = batch_count_mono_aps(words, n, 3)
         assert counts.shape == (0,) and counts.dtype == np.int64
-
-    def test_prefix_first_pass(self):
-        # at k=16 the prefix pass covers [1, 960]; with these rows some hit
-        # there, some only beyond it, and some not at all
-        k, n = 16, 1600
-        words = self._random_words(7, 40, n)
-        expected = _scan_has_mono(_bits(words, n), k)
-        # rows without a hit first, so the first survivor of the prefix
-        # pass must come out False
-        words = words[np.argsort(expected, kind="stable")]
-        bits = _bits(words, n)
-        in_prefix = _scan_has_mono(bits[:, : 64 * (k - 1)], k)
-        expected = _scan_has_mono(bits, k)
-        assert in_prefix.any()
-        assert (expected & ~in_prefix).any()
-        assert (~expected).any()
-        assert batch_has_mono_ap(words, n, k).tolist() == expected.tolist()
-        assert (batch_count_mono_aps(words, n, k) > 0).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("groups_per_chunk", [1, 1 << 14])
     def test_enumerated_chunks_match_packed_rows(self, monkeypatch, groups_per_chunk):

@@ -18,7 +18,7 @@ from apth.family import (
 )
 from apth.progressions import Progression, elements, intersection_size
 
-from oracles import ap_tuples, naive_greedy
+from oracles import ap_tuples, naive_block_count, naive_greedy
 
 
 def brute_family_members(k, n):
@@ -337,3 +337,26 @@ class TestBlockCount:
     def test_rejects_sub_one(self):
         with pytest.raises(ValueError):
             block_count(0.5)
+
+    @given(st.one_of(st.floats(1, 1e6), st.integers(1, 10**6)))
+    def test_matches_naive_search(self, f):
+        assert block_count(f) == naive_block_count(f)
+
+    def test_edges_of_exact_powers(self):
+        # just below 8, f^(4/3) is just below 16; 10^6 and 4096 are exact
+        below_eight = 8 - 2.0**-50
+        for f in (below_eight, 4096, 4096.0, 10**6, 1e6, 10**6 - 1):
+            assert block_count(f) == naive_block_count(f), f
+        assert block_count(below_eight) == 15
+        assert block_count(10**6) == 10**8
+
+    def test_huge_f_is_fast_and_exact(self):
+        # a float seed for the floor was off by ~2^38 steps at f = 1e20
+        assert block_count(10**30) == 10**40
+        assert block_count(1e300) ** 3 <= Fraction(1e300) ** 4
+        assert (block_count(1e300) + 1) ** 3 > Fraction(1e300) ** 4
+
+    @pytest.mark.parametrize("f", [float("inf"), float("nan")])
+    def test_rejects_non_finite(self, f):
+        with pytest.raises(ValueError, match="finite"):
+            block_count(f)

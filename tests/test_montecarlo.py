@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apth import montecarlo
+from apth import _philox, montecarlo
 from apth.errors import SearchCeilingError
 from apth.montecarlo import (
     ProbEstimate,
@@ -16,7 +17,7 @@ from apth.montecarlo import (
     wilson_interval,
 )
 from apth.probability import exact_prob_mono, markov_upper
-from oracles import estimate_driven_search
+from oracles import ap_tuples, estimate_driven_search, is_mono
 
 
 class TestWilson:
@@ -104,6 +105,76 @@ class TestEstimateProb:
     @pytest.mark.parametrize("k, w", [(4, 35), (5, 178), (6, 1132)])
     def test_van_der_waerden_points(self, k, w):
         assert estimate_prob(k, w, 300, 6).p_hat == 1.0
+
+    def test_prefix_first_pass(self, monkeypatch):
+        # at k=16 the first stage covers [1, 960]; of these samples some
+        # hit there, some only beyond it, and some not at all
+        k, n = 16, 1600
+        table = _philox.words(7, np.arange(12, dtype=np.uint64), n // 64)
+        aps = ap_tuples(k, n)
+        head = [ap for ap in aps if ap[-1] <= 960]
+        bits = [int.from_bytes(r.astype("<u8").tobytes(), "little") for r in table]
+        expected = np.array([any(is_mono(b, ap) for ap in aps) for b in bits])
+        in_prefix = np.array([any(is_mono(b, ap) for ap in head) for b in bits])
+        assert in_prefix.any()
+        assert (expected & ~in_prefix).any()
+        assert (~expected).any()
+        # samples without a hit first, so the first sample of the second
+        # stage must come out False; then the reverse, so a second stage
+        # that detected the first samples of the range instead of its
+        # misses would count too many
+        for order in (np.argsort(expected, kind="stable"), np.argsort(~expected)):
+            rows = table[order]
+            monkeypatch.setattr(
+                _philox,
+                "words",
+                lambda seed, ids, count: rows[ids.astype(np.intp), :count].copy(),
+            )
+            monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 1 << 18)
+            assert estimate_prob(k, n, 12, 0).successes == expected.sum()
+            # five samples a range: the stages run per range, not per batch
+            monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 5 * n // 64)
+            assert estimate_prob(k, n, 12, 0).successes == expected.sum()
+
+    @pytest.mark.parametrize("k", [14, 16])
+    def test_stages_match_one_pass(self, k):
+        # around the end of the first stage, [1, 64(k-1)], the staged count
+        # equals one pass of the kernel over whole rows; at head + 1 some
+        # samples hit only through the last element
+        head, samples = 64 * (k - 1), 3000
+        ids = np.arange(samples, dtype=np.uint64)
+        one_pass = {
+            n: montecarlo.batch_has_mono_ap(montecarlo._colorings(5, ids, n), n, k)
+            for n in (head - 1, head, head + 1, head + 70)
+        }
+        assert (one_pass[head + 1] & ~one_pass[head]).any()
+        for n, hits in one_pass.items():
+            assert estimate_prob(k, n, samples, 5).successes == hits.sum(), n
+
+    def test_prefix_stage_generates_fewer_words(self, monkeypatch):
+        # supercritical: nearly every sample hits within its first k-1
+        # words, so few whole rows are generated; each generated batch
+        # feeds exactly one detection call
+        k, n, samples = 8, 2000, 3000
+        generated, detected = [], []
+        words, detect = _philox.words, montecarlo.batch_has_mono_ap
+
+        def counted_words(*args, **kwargs):
+            out = words(*args, **kwargs)
+            generated.append(out.size)
+            return out
+
+        def counted_detect(rows, *args):
+            detected.append(rows.size)
+            return detect(rows, *args)
+
+        ref = estimate_prob(k, n, samples, 1)
+        monkeypatch.setattr(_philox, "words", counted_words)
+        monkeypatch.setattr(montecarlo, "batch_has_mono_ap", counted_detect)
+        assert estimate_prob(k, n, samples, 1) == ref
+        assert ref.p_hat == 1.0
+        assert generated == detected
+        assert sum(generated) < samples * -(-n // 64)
 
     def test_markov_certifies_estimates(self):
         # true p <= markov bound, so p_hat exceeds it by at most noise
@@ -234,8 +305,7 @@ class TestThresholdSearch:
         assert threshold_search(10, 0.95, 60, 1) == ref
 
     def test_default_ceiling_is_the_row_limit(self, monkeypatch):
-        assert montecarlo.DEFAULT_SEARCH_CEILING == 1 << 24
-        assert montecarlo.DEFAULT_SEARCH_CEILING == 64 * montecarlo._CHUNK_WORDS
+        assert montecarlo._max_n() == 1 << 24
         monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 4)
         with pytest.raises(SearchCeilingError) as exc:
             threshold_search(12, 0.9, 200, 3)
@@ -255,9 +325,6 @@ class TestThresholdSearch:
         assert started == [2]
         assert threshold_search(12, 0.5, 600, 3) == ref
         assert started == [2]
-        with Counted(max_workers=3) as pool:
-            assert threshold_search(12, 0.5, 600, 3, workers=3, pool=pool) == ref
-        assert started == [2, 3]
 
     def test_trace_records_every_evaluation(self):
         res = threshold_search(3, 0.5, 3000, 17)

@@ -345,6 +345,11 @@ class TestThresholdScales:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             threshold_scale_upper(10, 0.5)
+        for f in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                threshold_scale_upper(10, f)
+            with pytest.raises(ValueError, match="finite"):
+                p0_upper_blocks(10, 400, f)
         with pytest.raises(ValueError):
             threshold_scale_lower(10, 2.0)
 
