@@ -86,17 +86,37 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_count(k: int, n: int, count: int, fmt: str) -> str:
+def _record(fields: dict, fmt: str) -> str:
+    """One record: a JSON object, or a CSV header and one row."""
     if fmt == "json":
-        return _jdump({"k": k, "n": n, "count": count})
-    return _csv(["k", "n", "count"], [(k, n, count)])
+        return _jdump(fields)
+    return _csv(list(fields), [tuple(fields.values())])
 
 
-def read_count(text: str, fmt: str) -> dict:
+def _field(text: str):
+    """A CSV field as an int, else a float, else the string itself."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def read_record(text: str, fmt: str) -> dict:
+    """The fields of a ``_record``."""
     if fmt == "json":
         return json.loads(text)
     header, row = text.splitlines()
-    return dict(zip(header.split(","), (int(v) for v in row.split(","))))
+    return dict(zip(header.split(","), map(_field, row.split(","))))
+
+
+def read_table(text: str, header: Sequence[str]) -> list[tuple]:
+    """The rows of CSV output whose header row is ``header``."""
+    lines = text.splitlines()
+    if lines[0] != ",".join(header):
+        raise ValueError(f"unexpected CSV header {lines[0]!r}")
+    return [tuple(map(_field, line.split(","))) for line in lines[1:]]
 
 
 def stream_family(members: Iterable[Progression], fmt: str) -> Iterator[str]:
@@ -121,37 +141,6 @@ def emit_family(members: Iterable[Progression], fmt: str) -> str:
     return "".join(stream_family(members, fmt))
 
 
-def read_family_csv(text: str) -> list[tuple[int, int, int]]:
-    lines = text.splitlines()
-    if lines[0] != "start,diff,k":
-        raise ValueError(f"unexpected family CSV header {lines[0]!r}")
-    return [tuple(int(v) for v in line.split(",")) for line in lines[1:]]
-
-
-def emit_exact(k: int, n: int, prob, fmt: str) -> str:
-    fields = {
-        "k": k,
-        "n": n,
-        "numerator": prob.numerator,
-        "denominator": prob.denominator,
-        "probability": float(prob),
-    }
-    if fmt == "json":
-        return _jdump(fields)
-    return _csv(list(fields), [tuple(fields.values())])
-
-
-def read_exact(text: str, fmt: str) -> dict:
-    if fmt == "json":
-        return json.loads(text)
-    header, row = text.splitlines()
-    out = dict(zip(header.split(","), row.split(",")))
-    return {
-        key: float(v) if key == "probability" else int(v)
-        for key, v in out.items()
-    }
-
-
 def emit_dist(dist, fmt: str) -> str:
     rows = [
         (r, c, c / dist.total) for r, c in sorted(dist.counts.items())
@@ -170,17 +159,6 @@ def emit_dist(dist, fmt: str) -> str:
     return _csv(["r", "count", "probability"], rows)
 
 
-def read_dist_csv(text: str) -> list[tuple[int, int, float]]:
-    lines = text.splitlines()
-    if lines[0] != "r,count,probability":
-        raise ValueError(f"unexpected dist CSV header {lines[0]!r}")
-    out = []
-    for line in lines[1:]:
-        r, c, p = line.split(",")
-        out.append((int(r), int(c), float(p)))
-    return out
-
-
 def _estimate_fields(est: ProbEstimate) -> dict:
     return {
         "k": est.k,
@@ -192,27 +170,6 @@ def _estimate_fields(est: ProbEstimate) -> dict:
         "ci_high": est.ci_high,
         "seed": est.seed,
     }
-
-
-def emit_simulate(est: ProbEstimate, fmt: str) -> str:
-    fields = _estimate_fields(est)
-    fields["version"] = __version__
-    if fmt == "json":
-        return _jdump(fields)
-    return _csv(list(fields), [tuple(fields.values())])
-
-
-def read_simulate_csv(text: str) -> dict:
-    header, row = text.splitlines()
-    out = {}
-    for key, v in zip(header.split(","), row.split(",")):
-        if key in ("p_hat", "ci_low", "ci_high"):
-            out[key] = float(v)
-        elif key == "version":
-            out[key] = v
-        else:
-            out[key] = int(v)
-    return out
 
 
 def emit_sweep(res: ThresholdResult) -> str:
@@ -260,20 +217,9 @@ def emit_report(rep: ScalingReport, fmt: str) -> str:
 
 
 def read_report_csv(text: str) -> tuple[list[tuple], dict]:
-    lines = text.splitlines()
-    if lines[0] != ",".join(_REPORT_COLUMNS):
-        raise ValueError(f"unexpected report CSV header {lines[0]!r}")
-    rows = []
-    for line in lines[1:-1]:
-        k, n_star, log2_n, r_sqrt, r_3half = line.split(",")
-        rows.append(
-            (int(k), int(n_star), float(log2_n), float(r_sqrt), float(r_3half))
-        )
-    return rows, json.loads(lines[-1])
-
-
-def emit_bounds(obj: dict) -> str:
-    return _jdump(obj)
+    """The rows of ``emit_report``'s CSV and its trailing JSON line."""
+    table, meta = text.rstrip("\n").rsplit("\n", 1)
+    return read_table(table, _REPORT_COLUMNS), json.loads(meta)
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -412,7 +358,8 @@ def _dispatch(args) -> str:
         _require(args.n >= 1, "--n must be >= 1")
 
     if sc == "count":
-        return emit_count(args.k, args.n, count_aps(args.k, args.n), args.format)
+        count = count_aps(args.k, args.n)
+        return _record({"k": args.k, "n": args.n, "count": count}, args.format)
 
     if sc == "enumerate":
         if args.dmin is None and args.dmax is None:
@@ -440,7 +387,14 @@ def _dispatch(args) -> str:
 
     if sc == "exact":
         prob = exact_prob_mono(args.k, args.n, cap=_resolve_cap(args))
-        return emit_exact(args.k, args.n, prob, args.format)
+        fields = {
+            "k": args.k,
+            "n": args.n,
+            "numerator": prob.numerator,
+            "denominator": prob.denominator,
+            "probability": float(prob),
+        }
+        return _record(fields, args.format)
 
     if sc == "dist":
         dist = mono_count_distribution(args.k, args.n, cap=_resolve_cap(args))
@@ -472,13 +426,14 @@ def _dispatch(args) -> str:
                 "expected_mono": expected_mono(args.k, n),
                 "markov_upper": markov_upper(args.k, n),
             }
-        return emit_bounds(obj)
+        return _record(obj, args.format)
 
     if sc == "simulate":
         _require(args.samples >= 1, "--samples must be >= 1")
         _require(args.workers >= 1, "--workers must be >= 1")
         est = estimate_prob(args.k, args.n, args.samples, args.seed, args.workers)
-        return emit_simulate(est, args.format)
+        fields = {**_estimate_fields(est), "version": __version__}
+        return _record(fields, args.format)
 
     if sc == "sweep":
         _require(args.k >= 3, "--k must be >= 3")
@@ -587,14 +542,17 @@ def _selftest_checks():
                 lo, hi = wilson_interval(successes, samples)
                 assert 0.0 <= lo <= successes / samples <= hi <= 1.0
 
+    def cli(*argv: str) -> str:
+        return _dispatch(_build_parser().parse_args(argv))
+
     def roundtrip_count():
         for fmt in ("csv", "json"):
-            text = emit_count(3, 5, count_aps(3, 5), fmt)
-            assert read_count(text, fmt) == {"k": 3, "n": 5, "count": 4}
+            text = cli("count", "--k", "3", "--n", "5", "--format", fmt)
+            assert read_record(text, fmt) == {"k": 3, "n": 5, "count": 4}
 
     def roundtrip_family():
         fam = large_diff_family(3, 12)
-        rows = read_family_csv(emit_family(fam, "csv"))
+        rows = read_table(emit_family(fam, "csv"), ["start", "diff", "k"])
         assert rows == [(p.start, p.diff, p.length) for p in fam]
         objs = json.loads(emit_family(fam, "json"))
         assert objs == [{"start": p.start, "diff": p.diff} for p in fam]
@@ -602,27 +560,30 @@ def _selftest_checks():
     def roundtrip_exact():
         prob = exact_prob_mono(3, 8)
         for fmt in ("csv", "json"):
-            obj = read_exact(emit_exact(3, 8, prob, fmt), fmt)
+            text = cli("exact", "--k", "3", "--n", "8", "--format", fmt)
+            obj = read_record(text, fmt)
             assert obj["numerator"] == prob.numerator
             assert obj["denominator"] == prob.denominator
+            assert obj["probability"] == float(prob)
 
     def roundtrip_dist():
         dist = mono_count_distribution(3, 6)
-        rows = read_dist_csv(emit_dist(dist, "csv"))
+        rows = read_table(emit_dist(dist, "csv"), ["r", "count", "probability"])
         assert [(r, c) for r, c, _ in rows] == sorted(dist.counts.items())
         obj = json.loads(emit_dist(dist, "json"))
         assert {row["r"]: row["count"] for row in obj["rows"]} == dist.counts
 
     def roundtrip_simulate():
         est = estimate_prob(3, 9, 200, 1)
-        obj = json.loads(emit_simulate(est, "json"))
-        assert obj["successes"] == est.successes and obj["seed"] == est.seed
-        row = read_simulate_csv(emit_simulate(est, "csv"))
-        assert row["successes"] == est.successes and row["p_hat"] == est.p_hat
+        for fmt in ("csv", "json"):
+            text = cli("simulate", "--k", "3", "--n", "9", "--samples", "200",
+                       "--seed", "1", "--format", fmt)
+            row = read_record(text, fmt)
+            assert row["successes"] == est.successes and row["seed"] == est.seed
+            assert row["p_hat"] == est.p_hat and row["version"] == __version__
 
     def roundtrip_bounds():
-        text = _dispatch(_build_parser().parse_args(["bounds", "--k", "10", "--g", "0.5"]))
-        obj = json.loads(text)
+        obj = json.loads(cli("bounds", "--k", "10", "--g", "0.5"))
         assert obj["p0_lower"]["value"] == 0.6875
 
     def roundtrip_sweep():

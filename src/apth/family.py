@@ -276,6 +276,8 @@ def greedy_max_family(
             f"greedy search needs an (n+1)^2-byte pair table; n={n} exceeds "
             f"the cap n <= {GREEDY_MAX_N}"
         )
+    if n < k:  # no k-AP fits: skip the table and the C(k, 2) pair offsets
+        return APFamily(k, n, [], certified_almost_disjoint=True)
 
     covered = bytearray((n + 1) ** 2)
     # key of the pair (a + i*d, a + j*d) is a*(n+2) + d*(i*(n+1) + j)
@@ -296,7 +298,7 @@ def greedy_max_family(
             try_insert(p.start, p.diff)
 
     # a member covers its own pairs, so the scan rejects it a second time
-    d_cap = (n - 1) // (k - 1) if n >= k else 0
+    d_cap = (n - 1) // (k - 1)
     if order == "lex_by_diff_start":
         scan = (
             (a, d)

@@ -26,8 +26,8 @@ detects only the samples whose status at its n is still unknown.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,23 +91,22 @@ def _batch_ranges(samples: int, n: int, workers: int) -> list[tuple[int, int]]:
 
 
 @contextmanager
-def _threads(workers: int):
-    """A pool of ``workers`` threads, or None for a single worker.  A
-    count below one also gives None, leaving its error to the caller's
-    argument checks."""
-    if workers <= 1:
-        yield None
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool
+def _runner(workers: int):
+    """Yield ``run(fn, samples, n)``, which calls ``fn(lo, hi)`` over the
+    ``_batch_ranges`` of a batch and returns the results in order.  One
+    pool of ``workers`` threads serves every call; a single worker, or a
+    batch of one range, runs in the calling thread.  A count below one
+    also runs there, leaving its error to the caller's argument checks."""
+    threads = ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    with threads as pool:
 
+        def run(fn, samples: int, n: int) -> list:
+            ranges = _batch_ranges(samples, n, workers)
+            if pool is None or len(ranges) == 1:
+                return [fn(lo, hi) for lo, hi in ranges]
+            return list(pool.map(lambda r: fn(*r), ranges))
 
-def _map(fn, ranges: list[tuple[int, int]], pool: Executor | None) -> list:
-    """``fn(lo, hi)`` for every range, in order, on the threads of
-    ``pool`` (None runs them in the calling thread)."""
-    if pool is None or len(ranges) == 1:
-        return [fn(lo, hi) for lo, hi in ranges]
-    return list(pool.map(lambda r: fn(*r), ranges))
+        yield run
 
 
 #: Normal quantile for 95% two-sided coverage.
@@ -246,16 +245,6 @@ def _count_hits(k: int, n: int, seed: int, lo: int, hi: int) -> int:
     return successes
 
 
-def _detect(
-    k: int, n: int, seed: int, ids: np.ndarray, workers: int, pool: Executor | None
-) -> np.ndarray:
-    """Which of the samples ``ids`` have a monochromatic k-AP in [1, n],
-    detected in generation-buffer ranges."""
-    ranges = _batch_ranges(ids.size, n, workers)
-    hits = _map(lambda lo, hi: _hits(k, n, seed, ids[lo:hi]), ranges, pool)
-    return np.concatenate(hits)
-
-
 def _check_target(target: float) -> None:
     if not 0.05 <= target <= 0.95:
         raise ValueError(
@@ -285,9 +274,8 @@ def estimate_prob(
     _check_k(k)
     _check_n(n)
     _check_run(samples, seed, workers)
-    ranges = _batch_ranges(samples, n, workers)
-    with _threads(workers) as pool:
-        counts = _map(lambda lo, hi: _count_hits(k, n, seed, lo, hi), ranges, pool)
+    with _runner(workers) as run:
+        counts = run(lambda lo, hi: _count_hits(k, n, seed, lo, hi), samples, n)
     return ProbEstimate.from_counts(k, n, samples, sum(counts), seed)
 
 
@@ -301,13 +289,18 @@ def threshold_search(
 ) -> ThresholdResult:
     """Locate the n at which the estimated mono probability crosses target.
 
-    Brackets upward by doubling from max(k, lower_scale/4), then bisects;
-    coupling of estimates across n (see the module docstring) keeps the
-    bracket invariant exact.  The stopping width is max(1, ceil(0.01 n)):
-    the scaling analysis consumes log2(n_star), so sub-percent precision
-    would be wasted sampling.  If the Wilson intervals at both final
-    endpoints still contain the target, the per-point budget is doubled
-    (up to 8x) and the bracket re-verified before concluding.
+    One bracket routine keeps one invariant, p_hat(lo) < target <=
+    p_hat(hi): it steps lo down while p_hat(lo) reaches the target, steps
+    hi up while p_hat(hi) falls short (refusing to pass ``ceiling``), then
+    bisects to the stopping width max(1, ceil(0.01 n)).  The scaling
+    analysis consumes log2(n_star), so sub-percent precision would be
+    wasted sampling.  At the first budget both ends start at
+    max(k, lower_scale/4), and the steps halve lo and double hi.  If the
+    Wilson intervals at both final endpoints still contain the target,
+    the per-point budget is doubled (up to 8x) and the routine restores
+    the bracket in steps of that width before bisecting again.  Coupling
+    of estimates across n (see the module docstring) keeps the invariant
+    exact at each budget.
 
     A point (n, m) detects, on [1, n], only those of its m samples whose
     status at n earlier points left unknown (see the module docstring),
@@ -321,8 +314,8 @@ def threshold_search(
     _check_k(k)
     _check_target(target)
     _check_run(samples, seed, workers)
-    with _threads(workers) as pool:
-        return _search(k, target, samples, seed, workers, pool, ceiling)
+    with _runner(workers) as run:
+        return _search(k, target, samples, seed, run, ceiling)
 
 
 def _search(
@@ -330,11 +323,11 @@ def _search(
     target: float,
     samples: int,
     seed: int,
-    workers: int,
-    pool: Executor | None,
+    run,
     ceiling: int | None,
 ) -> ThresholdResult:
-    """``threshold_search`` of checked arguments on the threads of ``pool``."""
+    """``threshold_search`` of checked arguments, detecting through the
+    ``run`` of a ``_runner``."""
     if ceiling is None:
         ceiling = _max_n()
     trace: list[tuple[int, ProbEstimate]] = []
@@ -356,7 +349,9 @@ def _search(
                 miss_to = np.concatenate([miss_to, np.full(grow, -1, np.int64)])
             ids = np.flatnonzero((miss_to[:m] < n) & (n < hit_from[:m]))
             if ids.size:
-                hit = _detect(k, n, seed, ids.astype(np.uint64), workers, pool)
+                rows = ids.astype(np.uint64)
+                hits = run(lambda lo, hi: _hits(k, n, seed, rows[lo:hi]), ids.size, n)
+                hit = np.concatenate(hits)
                 hit_from[ids[hit]] = n
                 miss_to[ids[~hit]] = n
             successes = int(np.count_nonzero(hit_from[:m] <= n))
@@ -368,10 +363,22 @@ def _search(
     def p_hat(n: int, m: int) -> float:
         return estimate(n, m).p_hat
 
+    def undecided(n: int, m: int) -> bool:
+        e = estimate(n, m)
+        return e.ci_low <= target <= e.ci_high
+
     def step(n: int) -> int:
         return max(1, -(-n // 100))
 
-    def bisect(lo: int, hi: int, m: int) -> tuple[int, int]:
+    def bracket(lo: int, hi: int, m: int, down, up) -> tuple[int, int]:
+        """Step lo by ``down`` and hi by ``up`` until p_hat(lo) < target
+        <= p_hat(hi), then bisect to within step(hi)."""
+        while p_hat(lo, m) >= target:  # reaches 0 at n = k-1 at the latest
+            lo, hi = max(k - 1, down(lo)), lo
+        while p_hat(hi, m) < target:
+            if hi >= ceiling:
+                raise SearchCeilingError(k, target, ceiling)
+            lo, hi = hi, min(up(hi), ceiling)
         while hi - lo > step(hi):
             mid = (lo + hi) // 2
             if p_hat(mid, m) >= target:
@@ -382,44 +389,11 @@ def _search(
 
     m = samples
     n0 = max(k, threshold_scale_lower(k, 1.0) // 4)
-    if p_hat(n0, m) >= target:
-        # already supercritical at the starting point: walk down
-        hi = n0
-        lo = n0
-        while p_hat(lo, m) >= target:  # reaches 0 at n = k-1 at the latest
-            hi = lo
-            lo = max(k - 1, lo // 2)
-    else:
-        lo = n0
-        while True:
-            if lo >= ceiling:
-                raise SearchCeilingError(k, target, ceiling)
-            hi = min(2 * lo, ceiling)
-            if p_hat(hi, m) >= target:
-                break
-            lo = hi
-
-    lo, hi = bisect(lo, hi, m)
-
-    while m < 8 * samples:
-        e_lo, e_hi = estimate(lo, m), estimate(hi, m)
-        undecided = (
-            e_lo.ci_low <= target <= e_lo.ci_high
-            and e_hi.ci_low <= target <= e_hi.ci_high
-        )
-        if not undecided:
-            break
+    lo, hi = bracket(n0, n0, m, lambda n: n // 2, lambda n: 2 * n)
+    while m < 8 * samples and undecided(lo, m) and undecided(hi, m):
         m *= 2
-        # estimates move at the new budget; restore the bracket, re-bisect
-        while p_hat(lo, m) >= target:
-            hi = lo
-            lo = max(k - 1, lo - step(hi))
-        while p_hat(hi, m) < target:
-            lo = hi
-            if hi >= ceiling:
-                raise SearchCeilingError(k, target, ceiling)
-            hi = min(hi + step(hi), ceiling)
-        lo, hi = bisect(lo, hi, m)
+        # estimates move at the new budget: restore the bracket in steps
+        lo, hi = bracket(lo, hi, m, lambda n: n - step(n), lambda n: n + step(n))
 
     return ThresholdResult(
         k=k,
@@ -463,9 +437,9 @@ def scaling_report(
     _check_target(target)
     _check_run(samples, seed, workers)
     rows = []
-    with _threads(workers) as pool:
+    with _runner(workers) as run:
         n_stars = [
-            _search(k, target, samples, seed, workers, pool, ceiling).n_star
+            _search(k, target, samples, seed, run, ceiling).n_star
             for k in range(k_low, k_high + 1)
         ]
     for k, n_star in zip(range(k_low, k_high + 1), n_stars):

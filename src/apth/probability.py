@@ -48,6 +48,12 @@ DEFAULT_BRUTE_CAP = 26
 #: unreachable anyway.
 _HARD_ENUM_LIMIT = 63
 
+#: Largest k the threshold scales and the block bound accept.  Their exact
+#: arithmetic squares and roots numbers of about k bits, quadratic in k;
+#: at 2^14 it takes well under a millisecond and the scales print in
+#: about 2,500 digits, far beyond any k a Monte Carlo run can reach.
+_BOUND_K_MAX = 1 << 14
+
 #: 64-coloring groups per enumeration chunk: 2^20 colorings.
 _CHUNK = 1 << 14
 
@@ -271,6 +277,15 @@ def markov_upper(k: int, n: int) -> float:
     return min(1.0, expected_mono(k, n))
 
 
+def _check_bound_k(k: int) -> None:
+    _check_k(k)
+    if k > _BOUND_K_MAX:
+        raise ValueError(
+            f"progression length k={k} exceeds {_BOUND_K_MAX}, the largest "
+            "the threshold scales and bounds accept"
+        )
+
+
 def p0_upper_blocks(k: int, n: int, f: float) -> BoundReport:
     """Upper bound on P(no mono k-AP) from the block decomposition.
 
@@ -288,7 +303,7 @@ def p0_upper_blocks(k: int, n: int, f: float) -> BoundReport:
     stay below 2^(k-1); both are reported as flags (computed exactly),
     never assumed.
     """
-    _check_k(k)
+    _check_bound_k(k)
     plan = block_plan(n, block_count(f))
     size = large_diff_family_size(k, plan.s)
     s2 = plan.s * plan.s
@@ -331,7 +346,7 @@ def _floor_sqrt(value: Fraction) -> int:
 def threshold_scale_upper(k: int, f: float) -> int:
     """floor(2^(k/2) * k^(3/2) * f): the interval length at which a mono
     k-AP becomes almost certain as k grows (for f growing with k)."""
-    _check_k(k)
+    _check_bound_k(k)
     _check_f(f)
     return _floor_sqrt(Fraction(f) ** 2 * (1 << k) * k**3)
 
@@ -339,6 +354,6 @@ def threshold_scale_upper(k: int, f: float) -> int:
 def threshold_scale_lower(k: int, g: float) -> int:
     """floor(2^(k/2) * k^(1/2) * g): the interval length at which a mono
     k-AP becomes almost impossible as k grows (for g shrinking with k)."""
-    _check_k(k)
+    _check_bound_k(k)
     _check_g(g)
     return _floor_sqrt(Fraction(g) ** 2 * (1 << k) * k)

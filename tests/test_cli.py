@@ -9,10 +9,9 @@ import pytest
 from apth import __version__, montecarlo
 from apth.cli import (
     main,
-    read_count,
-    read_dist_csv,
-    read_family_csv,
+    read_record,
     read_report_csv,
+    read_table,
 )
 from apth.family import large_diff_family
 from apth.probability import mono_count_distribution
@@ -45,14 +44,14 @@ class TestCount:
                            "--format", "csv")
         assert code == 0
         assert out == "k,n,count\n3,5,4\n"
-        assert read_count(out, "csv") == {"k": 3, "n": 5, "count": 4}
+        assert read_record(out, "csv") == {"k": 3, "n": 5, "count": 4}
 
 
 class TestEnumerateAndFamily:
     def test_family_csv_matches_library(self, capsys):
         code, out, _ = run(capsys, "family", "--k", "3", "--n", "12")
         assert code == 0
-        rows = read_family_csv(out)
+        rows = read_table(out, ["start", "diff", "k"])
         assert rows == [
             (p.start, p.diff, 3) for p in large_diff_family(3, 12)
         ]
@@ -66,7 +65,7 @@ class TestEnumerateAndFamily:
         code, out, _ = run(capsys, "enumerate", "--k", "3", "--n", "5",
                            "--dmin", "2", "--dmax", "2")
         assert code == 0
-        assert read_family_csv(out) == [(1, 2, 3)]
+        assert read_table(out, ["start", "diff", "k"]) == [(1, 2, 3)]
 
     def test_enumerate_bad_range_is_usage_error(self, capsys):
         code, out, err = run(capsys, "enumerate", "--k", "3", "--n", "5",
@@ -77,7 +76,11 @@ class TestEnumerateAndFamily:
     def test_greedy(self, capsys):
         code, out, _ = run(capsys, "greedy", "--k", "3", "--n", "5")
         assert code == 0
-        assert read_family_csv(out) == [(1, 1, 3), (3, 1, 3)]
+        assert read_table(out, ["start", "diff", "k"]) == [(1, 1, 3), (3, 1, 3)]
+
+    def test_greedy_with_no_fit_prints_header(self, capsys):
+        code, out, err = run(capsys, "greedy", "--k", "2000", "--n", "100")
+        assert (code, out, err) == (0, "start,diff,k\n", "")
 
     def test_greedy_refuses_oversized_n(self, capsys):
         # n=20000 would need a 400 MB pair table; nothing may be allocated
@@ -128,7 +131,8 @@ class TestExactAndDist:
     def test_dist_csv(self, capsys):
         code, out, _ = run(capsys, "dist", "--k", "3", "--n", "3")
         assert code == 0
-        assert read_dist_csv(out) == [(0, 6, 0.75), (1, 2, 0.25)]
+        rows = read_table(out, ["r", "count", "probability"])
+        assert rows == [(0, 6, 0.75), (1, 2, 0.25)]
 
     def test_dist_json_total(self, capsys):
         code, out, _ = run(capsys, "dist", "--k", "3", "--n", "6",
@@ -256,6 +260,18 @@ class TestBounds:
     def test_huge_or_infinite_f_is_usage_error(self, capsys, f):
         start = time.perf_counter()
         code, out, err = run(capsys, "bounds", "--k", "3", "--f", f)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: 2: ")
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep"], ["bounds", "--g", "0.5"], ["bounds", "--f", "2"]]
+    )
+    def test_huge_k_is_usage_error(self, capsys, argv):
+        # the scales of a 3,000,000-bit 2^k took seconds and overflowed
+        # Python's integer-to-string limit
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], "--k", "3000000", *argv[1:])
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: 2: ")

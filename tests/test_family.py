@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -219,6 +220,17 @@ class TestGreedy:
         assert GREEDY_MAX_N == 1 << 14
         with pytest.raises(ValueError, match="pair table"):
             greedy_max_family(3, GREEDY_MAX_N + 1)
+
+    def test_no_fit_allocates_nothing(self):
+        # with n < k no k-AP fits, and C(2000, 2) pair offsets took 81 MB
+        tracemalloc.start()
+        try:
+            fam = greedy_max_family(2000, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(fam) == 0 and fam.certified_almost_disjoint
+        assert peak < 1 << 20
 
     def test_seeding_guarantees_base_size(self):
         for order in ("lex_by_diff_start", "lex_by_start_diff"):

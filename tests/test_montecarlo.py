@@ -287,6 +287,15 @@ class TestThresholdSearch:
     def test_ceiling_error(self):
         with pytest.raises(SearchCeilingError):
             threshold_search(8, 0.95, 200, 3, ceiling=16)
+        # p_hat(14) is 0.51 at 300 samples but 0.488 at 600, so here the
+        # ceiling stops the bracket's restore after a budget doubling
+        with pytest.raises(SearchCeilingError):
+            threshold_search(5, 0.5, 300, 4, ceiling=14)
+        with pytest.raises(SearchCeilingError):
+            estimate_driven_search(5, 0.5, 300, 4, ceiling=14)
+        res = threshold_search(5, 0.5, 300, 4, ceiling=15)
+        assert res == estimate_driven_search(5, 0.5, 300, 4, ceiling=15)
+        assert res.n_star == 15
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("target", [0.05, 0.5, 0.95])

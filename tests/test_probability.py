@@ -353,6 +353,18 @@ class TestThresholdScales:
         with pytest.raises(ValueError):
             threshold_scale_lower(10, 2.0)
 
+    def test_rejects_k_beyond_bound(self):
+        k = probability._BOUND_K_MAX
+        # the largest k accepted: 2^(k/2) sqrt(k) with sqrt(2^14) = 2^7
+        assert threshold_scale_lower(k, 1) == 1 << (k // 2 + 7)
+        for fn in (
+            lambda: threshold_scale_upper(k + 1, 1),
+            lambda: threshold_scale_lower(k + 1, 1),
+            lambda: p0_upper_blocks(k + 1, 400, 2),
+        ):
+            with pytest.raises(ValueError, match="exceeds 16384"):
+                fn()
+
     @given(st.integers(3, 30))
     def test_upper_dominates_lower(self, k):
         assert threshold_scale_upper(k, 1) >= threshold_scale_lower(k, 1)
