@@ -59,7 +59,7 @@ from .probability import (
     threshold_scale_lower,
     threshold_scale_upper,
 )
-from .progressions import Progression, count_aps, enumerate_aps
+from .progressions import N_CAP, Progression, count_aps, enumerate_aps
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -406,19 +406,32 @@ def _dispatch(args) -> str:
             "bounds needs --f and/or --g",
         )
         obj: dict = {"k": args.k, "version": __version__}
+
+        def at(scale: int) -> int:
+            """--n if given, else the threshold scale itself."""
+            if args.n is not None:
+                return args.n
+            _require(
+                scale <= N_CAP,
+                f"the threshold scale at k={args.k} is above the 2^40 cap "
+                "on n; pass --n",
+            )
+            return scale
+
         if args.f is not None:
             _require(1 <= args.f < math.inf, "--f must be finite and >= 1")
-            n = args.n if args.n is not None else threshold_scale_upper(args.k, args.f)
-            rep = p0_upper_blocks(args.k, n, args.f)
-            obj["n_upper_scale"] = threshold_scale_upper(args.k, args.f)
+            scale = threshold_scale_upper(args.k, args.f)
+            rep = p0_upper_blocks(args.k, at(scale), args.f)
+            obj["n_upper_scale"] = scale
             obj["p0_upper"] = {
                 "n": rep.n, "f": rep.f, "q": rep.q, "s": rep.s, "r": rep.r,
                 "value": rep.value, "flags": rep.flags,
             }
         if args.g is not None:
             _require(0 < args.g <= 1, "--g must be in (0, 1]")
-            n = args.n if args.n is not None else threshold_scale_lower(args.k, args.g)
-            obj["n_lower_scale"] = threshold_scale_lower(args.k, args.g)
+            scale = threshold_scale_lower(args.k, args.g)
+            n = at(scale)
+            obj["n_lower_scale"] = scale
             obj["p0_lower"] = {
                 "n": n,
                 "g": args.g,

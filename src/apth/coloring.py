@@ -19,8 +19,11 @@ The Monte Carlo engine (which stages its detection on prefixes itself),
 the scalar ``Coloring`` API (a batch of one row) and the exact oracles
 (which build element-major chunks directly) all call this kernel, which
 has one path.  Besides detection, it counts monochromatic k-APs per
-sample in vertical bit-plane counters.  Its agreement with direct scans
-over element tuples is asserted by the test suite.
+sample: the run rows of every d are summed column-wise by carry-save
+(3:2) adder layers into a total kept as bit planes, plane j holding bit
+j of 64 samples' counts.  The exact count distribution reads its
+histogram from those planes directly.  The kernel's agreement with
+direct scans over element tuples is asserted by the test suite.
 """
 
 from __future__ import annotations
@@ -312,49 +315,115 @@ def _any_mono(b: np.ndarray, n: int, k: int, found: np.ndarray) -> np.ndarray:
     return found
 
 
-def _add_planes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b for vertical counters: bit planes on axis -2, least
-    significant first, with one more plane than the wider operand."""
-    if a.shape[-2] < b.shape[-2]:
-        a, b = b, a
-    out = np.empty(a.shape[:-2] + (a.shape[-2] + 1, a.shape[-1]), dtype=np.uint64)
-    carry = np.zeros_like(a[..., 0, :])
-    for j in range(a.shape[-2]):
-        x = a[..., j, :]
-        if j < b.shape[-2]:
-            y = b[..., j, :]
-            half = x ^ y
-            out[..., j, :] = half ^ carry
-            carry = (x & y) | (carry & half)
-        else:
-            out[..., j, :] = x ^ carry
-            carry = x & carry
-    out[..., -1, :] = carry
-    return out
+def _carry_save(
+    x: np.ndarray, used: int, held: np.ndarray, heights: list[int], spare: np.ndarray
+) -> None:
+    """Add the rows x[:used], each of weight 1, into a carry-save total.
+
+    held[w, :heights[w]] are the total's rows of weight 2^w, at most two
+    per weight.  Weight by weight from the lowest, the rows of a weight
+    (its held ones included) pass through layers of full adders (3:2
+    counters; Wallace, IEEE TEC 1964) until at most two remain.  A layer
+    splits the stack into thirds a, b and c: five in-place ufunc calls
+    for all triples at once leave the sums in a's rows and append the
+    carries to the next weight's stack, which is built in ``spare``; then
+    the two buffers swap roles, so nothing is allocated.  ``x`` needs two
+    rows past ``used`` and ``spare`` half as many rows as ``x``, plus two.
+
+    Carries out of the top weight are dropped: callers size ``held`` so
+    that no column sum reaches 2^len(held), and every row is a
+    nonnegative part of that sum, so those carries are zero.
+    """
+    top = held.shape[0] - 1
+    x[used : used + heights[0]] = held[0, : heights[0]]
+    used += heights[0]
+    for w in range(top + 1):
+        fed = heights[w + 1] if w < top else 0
+        if fed:
+            spare[:fed] = held[w + 1, :fed]
+        nxt = fed
+        while used > 2:
+            t = used // 3
+            a, b, c = x[:t], x[t : 2 * t], x[2 * t : 3 * t]
+            carry = spare[nxt : nxt + t]
+            np.bitwise_and(a, b, out=carry)
+            np.bitwise_xor(a, b, out=b)
+            np.bitwise_and(b, c, out=a)
+            carry |= a
+            np.bitwise_xor(b, c, out=a)
+            x[t : used - 2 * t] = x[3 * t : used]
+            used -= 2 * t
+            nxt += t
+        held[w, :used] = x[:used]
+        heights[w] = used
+        if nxt == fed:  # no carries: the weights above stay as they are
+            return
+        x, spare, used = spare, x, nxt
 
 
-def _column_sums(rows: np.ndarray) -> np.ndarray:
-    """Bit planes of the per-bit sum over the rows of a (rows, groups)
-    word matrix, added pairwise over all rows at once."""
-    sums = rows[:, None, :]
-    while sums.shape[0] > 1:
-        if sums.shape[0] % 2:
-            sums = np.concatenate([sums, np.zeros_like(sums[:1])])
-        sums = _add_planes(sums[0::2], sums[1::2])
-    return sums[0]
+def _resolve(held: np.ndarray, heights: list[int]) -> np.ndarray:
+    """The bit planes (least significant first) of a carry-save total,
+    by one ripple-carry pass up the weights."""
+    planes = np.empty((held.shape[0], held.shape[2]), dtype=np.uint64)
+    carry = np.zeros(held.shape[2], dtype=np.uint64)
+    for w, plane in enumerate(planes):
+        plane[...] = carry
+        carry[...] = 0
+        for row in held[w, : heights[w]]:
+            carry |= plane & row
+            plane ^= row
+    return planes
 
 
-def _mono_counts(b: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Per sample of the element-major ``b``, the number of monochromatic
-    k-APs in [1, n], as bit planes (least significant first) of words."""
+#: Words of run rows gathered, over as many d as fit, before each
+#: carry-save compression in ``_mono_counts`` (128 KB).  Few-sample
+#: batches thus compress the rows of hundreds of d at once.
+_RUN_WORDS = 1 << 14
+
+
+def _count_buffers(n: int, k: int, groups: int) -> tuple[np.ndarray, ...]:
+    """Scratch for ``_mono_counts`` on up to ``groups`` columns, which a
+    caller counting many chunks may allocate once and pass to each call:
+    the run rows, the next weight's stack, and the carry-save total."""
+    rows = max(n, _RUN_WORDS // max(groups, 1)) + 2
     planes = max(1, count_aps(k, n).bit_length())
-    total = np.zeros((planes, b.shape[1]), dtype=np.uint64)
-    buf = np.empty_like(b)
+    return (
+        np.empty((rows, groups), dtype=np.uint64),
+        np.empty((rows // 2 + 2, groups), dtype=np.uint64),
+        np.empty((planes, 2, groups), dtype=np.uint64),
+    )
+
+
+def _mono_counts(
+    b: np.ndarray, n: int, k: int, buffers: tuple[np.ndarray, ...] | None = None
+) -> np.ndarray:
+    """Per sample of the element-major ``b``, the number of monochromatic
+    k-APs in [1, n], as bit planes (least significant first) of words.
+
+    The total is kept in carry-save form, at most two rows per weight.
+    The run rows ~_breaks(...) of each d, all of weight 1, are built in
+    place after those already gathered in ``runs``, until the next d would
+    not fit (one d at a time on wide batches); ``_carry_save`` then adds
+    them into the total.  One ripple-carry pass at the end gives the
+    planes.  No sample exceeds count_aps(k, n), which fixes the number of
+    planes.
+    """
+    groups = b.shape[1]
+    runs, spare, held = (
+        x[..., :groups] for x in buffers or _count_buffers(n, k, groups)
+    )
+    heights = [0] * held.shape[0]
+    used = 0
     for d in range(1, (n - 1) // (k - 1) + 1):
-        runs = ~_breaks(b, d, k, buf)
-        # no sample exceeds count_aps(k, n), so the top plane stays clear
-        total = _add_planes(total, _column_sums(runs))[:planes]
-    return total
+        # _breaks needs n - d rows of scratch, and _carry_save two more
+        if used + n - d + 2 > runs.shape[0]:
+            _carry_save(runs, used, held, heights, spare)
+            used = 0
+        chain = _breaks(b, d, k, runs[used:])
+        np.invert(chain, out=chain)
+        used += chain.shape[0]
+    _carry_save(runs, used, held, heights, spare)
+    return _resolve(held, heights)
 
 
 def _plane_values(planes: np.ndarray, samples: int) -> np.ndarray:
@@ -364,6 +433,34 @@ def _plane_values(planes: np.ndarray, samples: int) -> np.ndarray:
     sample whose bit j is plane j.
     """
     return _bitsliced(planes, samples)[:, 0].view(np.int64)
+
+
+def _plane_histogram(planes: np.ndarray, samples: int, top: int) -> np.ndarray:
+    """hist[v], for v = 0..top, is the number of the first ``samples``
+    vertical counters of value v; no counter may exceed ``top``.
+
+    The planes are read as they are, not transposed.  A depth-first walk
+    from the top plane narrows a mask of samples, starting from all real
+    slots, to each prefix of bits: the plane at each level, or its
+    complement.  Prefixes above ``top`` hold no sample and are not
+    entered.  Each leaf is one popcount, and at most one mask per level
+    waits on the stack.
+    """
+    hist = np.zeros(top + 1, dtype=np.int64)
+    # (level, prefix value, mask); the stack holds one mask per level
+    stack = [(planes.shape[0] - 1, 0, ~_padding(samples))]
+    while stack:
+        j, value, mask = stack.pop()
+        if j < 0:
+            hist[value] = np.bitwise_count(mask).sum()
+            continue
+        high = value | 1 << j
+        if high <= top:
+            ones = mask & planes[j]
+            mask ^= ones
+            stack.append((j - 1, high, ones))
+        stack.append((j - 1, value, mask))
+    return hist
 
 
 def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:

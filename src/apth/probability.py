@@ -28,7 +28,13 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .coloring import _any_mono, _mono_counts, _padding, _plane_values
+from .coloring import (
+    _any_mono,
+    _count_buffers,
+    _mono_counts,
+    _padding,
+    _plane_histogram,
+)
 from .errors import BruteForceCapError
 from .family import APFamily, _check_f, block_count, block_plan, large_diff_family_size
 from .progressions import (
@@ -100,8 +106,10 @@ def _coloring_chunks(n: int) -> Iterator[tuple[np.ndarray, int]]:
         chunk = np.empty((n, g.size), dtype=np.uint64)
         chunk[0] = ~np.uint64(0)
         chunk[1:low] = _LOW_ELEMENTS[: low - 1, None]
-        shifts = np.arange(n - low, dtype=np.uint64)[:, None]
-        chunk[low:] = np.uint64(0) - ((g >> shifts) & one)
+        high = chunk[low:]
+        np.right_shift(g, np.arange(n - low, dtype=np.uint64)[:, None], out=high)
+        high &= one
+        np.negative(high, out=high)  # all ones where the bit is set
         yield chunk, min(64 * g.size, half)
 
 
@@ -177,16 +185,24 @@ def exact_prob_mono(k: int, n: int, cap: int | None = None) -> Fraction:
 def mono_count_distribution(
     k: int, n: int, cap: int | None = None
 ) -> ExactDistribution:
-    """Exact counts of colorings by their number of monochromatic k-APs."""
+    """Exact counts of colorings by their number of monochromatic k-APs.
+
+    Per chunk, ``_mono_counts`` sums the run rows into bit planes with
+    carry-save adders, and ``_plane_histogram`` counts the colorings of
+    each value by a depth-first walk over the planes, one popcount per
+    value; the counts are never transposed to one word per coloring.
+    """
     _check_k(k)
     _check_n(n)
     _check_cap(n, cap)
     if n < k:
         return ExactDistribution(k, n, {0: 1 << n}, 1 << n)
-    hist = np.zeros(count_aps(k, n) + 1, dtype=np.int64)
+    top = count_aps(k, n)
+    hist = np.zeros(top + 1, dtype=np.int64)
+    buffers = None
     for x, count in _coloring_chunks(n):
-        counts = _plane_values(_mono_counts(x, n, k), count)
-        hist += np.bincount(counts, minlength=hist.shape[0])
+        buffers = buffers or _count_buffers(n, k, x.shape[1])
+        hist += _plane_histogram(_mono_counts(x, n, k, buffers), count, top)
     counts = {int(r): 2 * int(c) for r, c in enumerate(hist) if c}
     return ExactDistribution(k, n, counts, 1 << n)
 

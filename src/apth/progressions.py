@@ -24,7 +24,10 @@ def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"interval endpoint n must be >= 1, got {n}")
     if n > N_CAP:
-        raise ValueError(f"interval endpoint n={n} exceeds the cap 2^40")
+        # by bit length: a runaway n may have thousands of digits
+        raise ValueError(
+            f"interval endpoint n of {n.bit_length()} bits exceeds the cap 2^40"
+        )
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,21 @@ class TestBounds:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: 2: ")
 
+    @pytest.mark.parametrize("flag", ["--f", "--g"])
+    @pytest.mark.parametrize("k", ["80", "16000"])
+    def test_scale_beyond_the_n_cap_asks_for_n(self, capsys, k, flag):
+        # without --n the bounds are taken at the threshold scale, which
+        # passes 2^40 from k of about 76 on
+        code, out, err = run(capsys, "bounds", "--k", k, flag, "0.5" if flag == "--g" else "2")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 200
+        assert err.startswith("error: 2: ") and "--n" in err
+
+    def test_huge_n_is_short_usage_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "--k", "80", "--n", str(10**3000), "--g", "0.5")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 200
+
 
 class TestErrorDiscipline:
     def test_bad_k_names_flag(self, capsys):

@@ -3,16 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apth import _philox, probability
+from apth import _philox, coloring, probability
 from apth.coloring import (
     Coloring,
     RandomStream,
     _any_mono,
     _bitsliced,
     _breaks,
+    _carry_save,
     _mono_counts,
     _padding,
+    _plane_histogram,
     _plane_values,
+    _resolve,
     batch_count_mono_aps,
     batch_has_mono_ap,
     count_mono_aps,
@@ -462,3 +465,93 @@ class TestBitSliced:
                 ])
                 assert has.tolist() == batch_has_mono_ap(rows, n, k).tolist()
                 assert counts.tolist() == batch_count_mono_aps(rows, n, k).tolist()
+
+
+def _unpacked(words: np.ndarray) -> np.ndarray:
+    """(rows, 64 * groups) bits of a (rows, groups) word matrix."""
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+
+
+def _add_rows(words: np.ndarray, held: np.ndarray, heights: list[int]) -> None:
+    """Add the rows of ``words`` into a carry-save total, in buffers
+    sized as ``_mono_counts`` sizes them."""
+    rows, groups = words.shape
+    x = np.empty((rows + 2, groups), dtype=np.uint64)
+    x[:rows] = words
+    spare = np.empty((x.shape[0] // 2 + 2, groups), dtype=np.uint64)
+    _carry_save(x, rows, held, heights, spare)
+    assert max(heights) <= 2
+
+
+def _plane_sums(planes: np.ndarray) -> np.ndarray:
+    """Per bit position, the value of the vertical counter in ``planes``."""
+    weights = np.arange(planes.shape[0])[:, None]
+    return (_unpacked(planes).astype(np.int64) << weights).sum(axis=0)
+
+
+class TestCarrySave:
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 8, 63, 64, 200])
+    def test_matches_unpacked_column_sums(self, rows):
+        rng = np.random.default_rng(rows)
+        words = rng.integers(0, 1 << 64, size=(rows, 5), dtype=np.uint64)
+        words[rows // 2] = ~np.uint64(0)  # an all-ones row
+        words[:, 0] = ~np.uint64(0)  # 64 columns that reach the largest count
+        planes = rows.bit_length()
+        held, heights = np.empty((planes, 2, 5), dtype=np.uint64), [0] * planes
+        _add_rows(words, held, heights)
+        sums = _plane_sums(_resolve(held, heights))
+        assert np.array_equal(sums, _unpacked(words).sum(axis=0))
+        assert sums.max() == rows
+
+    def test_adds_into_a_carry_save_total(self):
+        # a total with rows at several weights takes two batches of rows
+        rng = np.random.default_rng(5)
+        held = rng.integers(0, 1 << 64, size=(7, 2, 3), dtype=np.uint64)
+        heights = [2, 1, 0, 2, 1, 0, 0]
+        expected = sum(
+            _unpacked(held[w, : heights[w]]).sum(axis=0) << w for w in range(7)
+        )
+        for rows in (40, 9):  # the sums stay below 2^7
+            words = rng.integers(0, 1 << 64, size=(rows, 3), dtype=np.uint64)
+            _add_rows(words, held, heights)
+            expected = expected + _unpacked(words).sum(axis=0)
+        assert np.array_equal(_plane_sums(_resolve(held, heights)), expected)
+
+    @pytest.mark.parametrize("run_words", [1, 1 << 20])
+    def test_one_d_or_all_d_per_compression(self, monkeypatch, run_words):
+        # the run rows of one d at a time, or of every d at once
+        monkeypatch.setattr(coloring, "_RUN_WORDS", run_words)
+        words = TestBatchKernel._random_words(None, 11, 70, 100)
+        for k in (3, 5):
+            expected = [
+                naive_count_mono(int.from_bytes(row.tobytes(), "little"), k, 100)
+                for row in words
+            ]
+            assert batch_count_mono_aps(words, 100, k).tolist() == expected
+
+
+class TestPlaneHistogram:
+    @pytest.mark.parametrize("top", [0, 1, 46, 63, 64, 1000])
+    @pytest.mark.parametrize("samples", [1, 63, 64, 130, 200])
+    def test_matches_bincount(self, top, samples):
+        rng = np.random.default_rng(top + samples)
+        slots = -(-samples // 64) * 64
+        # padding slots hold values too; they must not be counted
+        values = rng.integers(0, top + 1, size=slots, dtype=np.uint64)
+        values[rng.integers(0, slots, size=3)] = top
+        planes = _bitsliced(values.reshape(-1, 1), max(1, top.bit_length()))
+        assert _plane_values(planes, slots).tolist() == values.tolist()
+        hist = _plane_histogram(planes, samples, top)
+        expected = np.bincount(_plane_values(planes, samples), minlength=top + 1)
+        assert hist.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 9])
+    def test_single_group_chunks(self, n):
+        # below n = 7 the one group of the enumeration has padding slots
+        for k in range(3, n + 1):
+            top = probability.count_aps(k, n)
+            for x, count in probability._coloring_chunks(n):
+                planes = _mono_counts(x, n, k)
+                hist = _plane_histogram(planes, count, top)
+                expected = np.bincount(_plane_values(planes, count), minlength=top + 1)
+                assert hist.tolist() == expected.tolist(), (n, k)

@@ -100,6 +100,16 @@ class TestDistribution:
                 dist = mono_count_distribution(k, n)
                 assert dist.mean() == Fraction(count_aps(k, n), 1 << (k - 1))
 
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_second_moment_from_ap_pairs(self, k):
+        # sum_r r^2 counts[r] counts the colorings under which both of an
+        # ordered pair of k-APs (p = q included) are monochromatic
+        for n in range(k, 19):
+            aps = [prog(ap) for ap in ap_tuples(k, n)]
+            pairs = sum(mono_pair_count(p, q, n) for p in aps for q in aps)
+            dist = mono_count_distribution(k, n)
+            assert sum(r * r * c for r, c in dist.counts.items()) == pairs, (k, n)
+
     def test_below_k_is_all_zero(self):
         dist = mono_count_distribution(5, 4)
         assert dist.counts == {0: 16}
@@ -250,6 +260,12 @@ class TestChunkedEnumeration:
         fam = large_diff_family(k, n)
         aps = [tuple(range(p.start, p.last + 1, p.diff)) for p in fam]
         assert union_mono_exact(fam, n) == naive_union_count(aps, n)
+
+    def test_narrower_last_chunk(self, monkeypatch):
+        # 32 groups in chunks of 3: the last chunk has 2 groups and counts
+        # in views of the count buffers sized for the first
+        monkeypatch.setattr(probability, "_CHUNK", 3)
+        assert mono_count_distribution(3, 12).counts == naive_distribution(3, 12)
 
 
 class TestMomentBounds:

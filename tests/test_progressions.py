@@ -53,6 +53,10 @@ class TestContainment:
         with pytest.raises(ValueError):
             contained_in(Progression(1, 1, 3), N_CAP + 1)
 
+    def test_huge_n_is_reported_by_bit_length(self):
+        with pytest.raises(ValueError, match="n of 8001 bits exceeds the cap 2"):
+            count_aps(3, 1 << 8000)
+
 
 class TestCountAps:
     def test_known_counts(self):
