@@ -12,22 +12,25 @@ For each common difference d the kernel builds the equal-neighbour chain
 of B[:-d] and B[d:]: a monochromatic k-AP of difference d is a run of k-1
 equal neighbours at stride d.  The run is found by doubling in O(log k)
 operations, and each operation shortens the chain, so the last one holds
-exactly the valid starts and no padding masks are needed.  A 64-sample
-group leaves the scan once all of its samples have hit.
+exactly the valid starts and no padding masks are needed.  Detection
+scans the whole matrix for each d and stops once every sample has hit;
+samples that hit early stay in the scan.
 
-The Monte Carlo engine (which stages its detection on prefixes itself),
-the scalar ``Coloring`` API (a batch of one row) and the exact oracles
-(which build element-major chunks directly) all call this kernel, which
-has one path.  Besides detection, it counts monochromatic k-APs per
-sample: the run rows of every d are summed column-wise by carry-save
-(3:2) adder layers into a total kept as bit planes, plane j holding bit
-j of 64 samples' counts.  The exact count distribution reads its
-histogram from those planes directly.  The kernel's agreement with
-direct scans over element tuples is asserted by the test suite.
+The Monte Carlo engine (which saves the work of early hits by detecting
+on a prefix first), the scalar ``Coloring`` API (a batch of one row) and
+the exact oracles (which build element-major chunks directly) all call
+this kernel, which has one path.  Besides detection, it counts
+monochromatic k-APs per sample: the run rows of every d are summed
+column-wise by carry-save (3:2) adder layers into a total kept as bit
+planes, plane j holding bit j of 64 samples' counts.  The exact count
+distribution reads its histogram from those planes directly.  The
+kernel's agreement with direct scans over element tuples is asserted by
+the test suite.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,36 +74,34 @@ class Coloring:
         """Parse a 0/1 string, element 1 first."""
         if not text or any(ch not in "01" for ch in text):
             raise ValueError("coloring string must be nonempty and contain only 0/1")
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
+        # "0" and "1" differ in their lowest bit
+        digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) & 1
+        raw = np.packbits(digits, bitorder="little").tobytes()
+        return cls(len(text), int.from_bytes(raw, "little"))
 
     def to01(self) -> str:
         """Serialize as a 0/1 string, element 1 first."""
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.n))
+        raw = np.frombuffer(self.bits.to_bytes(-(-self.n // 8), "little"), np.uint8)
+        digits = np.unpackbits(raw, count=self.n, bitorder="little") | ord("0")
+        return digits.tobytes().decode("ascii")
 
     @classmethod
-    def from_words(cls, n: int, words: list[int]) -> "Coloring":
+    def from_words(cls, n: int, words: list[int] | np.ndarray) -> "Coloring":
+        """Inverse of ``words``; takes Python or NumPy integers."""
         _check_n(n)
         if len(words) != _word_count(n):
             raise ValueError(
                 f"expected {_word_count(n)} words for n={n}, got {len(words)}"
             )
-        bits = 0
-        for i, w in enumerate(words):
-            if not 0 <= w < (1 << WORD_BITS):
-                raise ValueError("words must be unsigned 64-bit integers")
-            bits |= w << (i * WORD_BITS)
-        return cls(n, bits)
+        try:
+            raw = b"".join(operator.index(w).to_bytes(8, "little") for w in words)
+        except OverflowError:
+            raise ValueError("words must be unsigned 64-bit integers") from None
+        return cls(n, int.from_bytes(raw, "little"))
 
     def words(self) -> list[int]:
         """Little-endian 64-bit words (word 0 holds elements 1..64)."""
-        return [
-            (self.bits >> (i * WORD_BITS)) & ((1 << WORD_BITS) - 1)
-            for i in range(_word_count(self.n))
-        ]
+        return _row(self)[0].tolist()
 
     def hex_words(self) -> list[str]:
         """Words as fixed-width hex strings, for JSON dumps."""
@@ -221,8 +222,10 @@ def _check_rows(words: np.ndarray, n: int, k: int) -> None:
     """Check that ``words`` packs colorings of [1, n] for k-AP detection."""
     _check_k(k)
     _check_n(n)
-    if words.shape[1] != _word_count(n):
-        raise ValueError(f"expected {_word_count(n)} words per row for n={n}")
+    if words.ndim != 2 or words.shape[1] != _word_count(n):
+        raise ValueError(
+            f"expected a (rows, {_word_count(n)}) matrix of words for n={n}"
+        )
 
 
 def _bitsliced(words: np.ndarray, n: int) -> np.ndarray:
@@ -288,31 +291,24 @@ def _breaks(b: np.ndarray, d: int, k: int, buf: np.ndarray) -> np.ndarray:
     return chain[:size]
 
 
-def _any_mono(b: np.ndarray, n: int, k: int, found: np.ndarray) -> np.ndarray:
-    """Set in ``found`` the bit of every sample of the element-major ``b``
-    with a monochromatic k-AP in [1, n], and return it.
+def _any_mono(b: np.ndarray, n: int, k: int, samples: int) -> np.ndarray:
+    """Per 64-sample group of the element-major ``b``, the bits of those of
+    its first ``samples`` samples with a monochromatic k-AP in [1, n].
 
-    Bits already set in ``found`` count as decided: a 64-sample group
-    leaves the scan once all of its bits are set, so padding slots start
-    out set.  Supercritical batches, where most samples hit at small d,
-    are therefore cheap.
+    The whole matrix is scanned for each d until every bit is set.  The
+    padding slots start out set, so they never prolong the scan, and are
+    cleared from the result.  Samples that hit early are not dropped from
+    the scan: callers whose samples mostly hit early detect on a prefix
+    first (see ``apth.montecarlo``).
     """
-    groups = np.flatnonzero(found != _FULL_WORD)
-    if groups.size < b.shape[1]:
-        b = b.take(groups, axis=1)
+    pad = _padding(samples)
+    found = pad.copy()
     buf = np.empty_like(b)
     for d in range(1, (n - 1) // (k - 1) + 1):
-        if groups.size == 0:
+        found |= ~np.bitwise_and.reduce(_breaks(b, d, k, buf), axis=0)
+        if (found == _FULL_WORD).all():
             break
-        hit = found[groups] | ~np.bitwise_and.reduce(_breaks(b, d, k, buf), axis=0)
-        found[groups] = hit
-        done = hit == _FULL_WORD
-        if done.any():
-            # index arrays: a boolean column mask on a 2-D array is slower
-            keep = np.flatnonzero(~done)
-            b, groups = b.take(keep, axis=1), groups[keep]
-            buf = np.empty_like(b)
-    return found
+    return found ^ pad
 
 
 def _carry_save(
@@ -468,12 +464,13 @@ def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
 
     Row r packs a coloring of [1, n] into ceil(n/64) little-endian words
     with zero padding above n.  Returns a boolean vector.  Every row is
-    bit-sliced and scanned on all of [1, n]; callers that expect most rows
+    bit-sliced and scanned on all of [1, n] until all rows have hit; the
+    kernel drops no row that hits early, so callers that expect most rows
     to hit early detect on a prefix first (see ``apth.montecarlo``).
     """
     _check_rows(words, n, k)
     rows = words.shape[0]
-    found = _any_mono(_bitsliced(words, n), n, k, _padding(rows))
+    found = _any_mono(_bitsliced(words, n), n, k, rows)
     return np.unpackbits(found.view(np.uint8), count=rows, bitorder="little").view(bool)
 
 

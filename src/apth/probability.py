@@ -176,9 +176,8 @@ def exact_prob_mono(k: int, n: int, cap: int | None = None) -> Fraction:
         return Fraction(0)
     hits = 0
     for x, count in _coloring_chunks(n):
-        found = _any_mono(x, n, k, _padding(count))
-        # padding slots start out set; take them off the count
-        hits += int(np.bitwise_count(found).sum()) - (64 * x.shape[1] - count)
+        # the last chunk's padding slots past ``count`` are not reported
+        hits += int(np.bitwise_count(_any_mono(x, n, k, count)).sum())
     return Fraction(2 * hits, 1 << n)
 
 

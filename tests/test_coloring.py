@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,24 @@ class TestColoring:
         assert words[1] == 1 << 5
         assert c.hex_words() == ["0000000000000003", "0000000000000020"]
         assert Coloring.from_words(70, words) == c
+        # a word out of range, a set bit above n, a word too many
+        for bad in ([-1, 0], [1 << 64, 0], [0, 1 << 6], [0, 0, 0]):
+            with pytest.raises(ValueError):
+                Coloring.from_words(70, bad)
+
+    def test_words_of_a_stream(self):
+        words = RandomStream(3).next_words(2)
+        c = Coloring.from_words(128, words)
+        assert c.words() == words.tolist()
+        assert c == random_coloring(128, RandomStream(3))
+
+    def test_large_round_trip(self):
+        # the conversions are linear in n
+        c = random_coloring(200_000, RandomStream(7))
+        start = time.perf_counter()
+        assert Coloring.from01(c.to01()) == c
+        assert Coloring.from_words(c.n, c.words()) == c
+        assert time.perf_counter() - start < 1.0
 
     def test_flip(self):
         c = Coloring.from01("1100")
@@ -308,11 +328,13 @@ class TestBatchKernel:
         assert not batch_has_mono_ap(words, 3, 4).any()
 
     def test_shape_validation(self):
+        # rows of too few words, and one row not held in a 2-D batch
         words = self._random_words(5, 4, 100)
-        with pytest.raises(ValueError):
-            batch_has_mono_ap(words, 200, 3)
-        with pytest.raises(ValueError):
-            batch_count_mono_aps(words, 200, 3)
+        for bad in (words, np.zeros(4, dtype=np.uint64)):
+            with pytest.raises(ValueError):
+                batch_has_mono_ap(bad, 200, 3)
+            with pytest.raises(ValueError):
+                batch_count_mono_aps(bad, 200, 3)
 
 
 def _prefix(words: np.ndarray, n: int) -> np.ndarray:
@@ -357,15 +379,13 @@ class TestFirstHit:
     def test_shape_validation(self):
         # a prefix must be cut to exactly ceil(n/64) words
         words = self._random_words(5, 4, 100)
-        with pytest.raises(ValueError):
-            batch_has_mono_ap(words, 200, 3)
-        with pytest.raises(ValueError):
-            batch_count_mono_aps(words, 200, 3)
         wide = self._random_words(5, 4, 200)
-        with pytest.raises(ValueError):
-            batch_has_mono_ap(wide, 100, 3)
-        with pytest.raises(ValueError):
-            batch_count_mono_aps(wide, 100, 3)
+        flat = np.zeros(3, dtype=np.uint64)
+        for bad, n in ((words, 200), (wide, 100), (flat, 100)):
+            with pytest.raises(ValueError):
+                batch_has_mono_ap(bad, n, 3)
+            with pytest.raises(ValueError):
+                batch_count_mono_aps(bad, n, 3)
         assert batch_has_mono_ap(_prefix(wide, 100), 100, 3).shape == (4,)
 
 
@@ -420,14 +440,21 @@ class TestBitSliced:
             strided = np.asfortranarray(words)
             assert batch_has_mono_ap(strided, n, k).tolist() == has.tolist()
 
-    def test_padding_slots_never_count(self):
+    def test_padding_slots_never_count(self, monkeypatch):
         # 70 all-blue rows: the 58 padding slots of the second group are
-        # blue too, and must neither be reported nor keep the group alive
+        # blue too, and must neither be reported nor keep the scan going
+        # past d = 1, where every real row hits
+        scanned = []
+
+        def breaks(b, d, k, buf):
+            scanned.append(d)
+            return _breaks(b, d, k, buf)
+
+        monkeypatch.setattr(coloring, "_breaks", breaks)
         words = np.zeros((70, 1), dtype=np.uint64)
-        found = _any_mono(_bitsliced(words, 5), 5, 3, _padding(70))
-        assert found[0] == np.uint64(0xFFFFFFFFFFFFFFFF)
-        assert found[1] == np.uint64(0xFFFFFFFFFFFFFFFF)
-        assert np.bitwise_count(found & ~_padding(70)).sum() == 70
+        found = _any_mono(_bitsliced(words, 5), 5, 3, 70)
+        assert found.tolist() == [0xFFFFFFFFFFFFFFFF, (1 << 6) - 1]
+        assert scanned == [1]
         planes = _mono_counts(_bitsliced(words, 5), 5, 3)
         assert _plane_values(planes, 70).tolist() == [4] * 70
 
@@ -454,7 +481,7 @@ class TestBitSliced:
             for k in range(3, 7):
                 has = np.concatenate([
                     np.unpackbits(
-                        _any_mono(x, n, k, _padding(count)).view(np.uint8),
+                        _any_mono(x, n, k, count).view(np.uint8),
                         count=count, bitorder="little",
                     )
                     for x, count in chunks
