@@ -291,7 +291,15 @@ def _breaks(b: np.ndarray, d: int, k: int, buf: np.ndarray) -> np.ndarray:
     return chain[:size]
 
 
-def _any_mono(b: np.ndarray, n: int, k: int, samples: int) -> np.ndarray:
+def _any_mono(
+    b: np.ndarray,
+    n: int,
+    k: int,
+    samples: int,
+    *,
+    done: int = 0,
+    buf: np.ndarray | None = None,
+) -> np.ndarray:
     """Per 64-sample group of the element-major ``b``, the bits of those of
     its first ``samples`` samples with a monochromatic k-AP in [1, n].
 
@@ -300,12 +308,21 @@ def _any_mono(b: np.ndarray, n: int, k: int, samples: int) -> np.ndarray:
     cleared from the result.  Samples that hit early are not dropped from
     the scan: callers whose samples mostly hit early detect on a prefix
     first (see ``apth.montecarlo``).
+
+    Only the k-APs ending past element ``done`` are checked: for each d
+    the scan starts at row max(0, done - (k-1)d).  That is exact for
+    samples known to have no monochromatic k-AP in [1, done], which the
+    caller must guarantee; 0 <= done < n.  ``buf``, scratch of at least
+    b's shape, may be allocated once by a caller scanning many chunks.
     """
+    if not 0 <= done < n:
+        raise ValueError(f"done must lie in [0, n={n}), got {done}")
     pad = _padding(samples)
     found = pad.copy()
-    buf = np.empty_like(b)
+    buf = np.empty_like(b) if buf is None else buf[:, : b.shape[1]]
     for d in range(1, (n - 1) // (k - 1) + 1):
-        found |= ~np.bitwise_and.reduce(_breaks(b, d, k, buf), axis=0)
+        start = max(0, done - (k - 1) * d)
+        found |= ~np.bitwise_and.reduce(_breaks(b[start:], d, k, buf), axis=0)
         if (found == _FULL_WORD).all():
             break
     return found ^ pad
@@ -459,7 +476,9 @@ def _plane_histogram(planes: np.ndarray, samples: int, top: int) -> np.ndarray:
     return hist
 
 
-def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
+def batch_has_mono_ap(
+    words: np.ndarray, n: int, k: int, *, done: int = 0
+) -> np.ndarray:
     """Vectorized ``has_mono_ap`` over a (rows, words) matrix of colorings.
 
     Row r packs a coloring of [1, n] into ceil(n/64) little-endian words
@@ -467,10 +486,15 @@ def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
     bit-sliced and scanned on all of [1, n] until all rows have hit; the
     kernel drops no row that hits early, so callers that expect most rows
     to hit early detect on a prefix first (see ``apth.montecarlo``).
+
+    With ``done`` > 0 only the k-APs ending past element ``done`` are
+    checked, which gives the full answer when no row has a monochromatic
+    k-AP in [1, done]; a row whose only one ends there reads as a miss.
+    ``ValueError`` unless 0 <= done < n.
     """
     _check_rows(words, n, k)
     rows = words.shape[0]
-    found = _any_mono(_bitsliced(words, n), n, k, rows)
+    found = _any_mono(_bitsliced(words, n), n, k, rows, done=done)
     return np.unpackbits(found.view(np.uint8), count=rows, bitorder="little").view(bool)
 
 

@@ -20,7 +20,12 @@ from point to point: a sample with a monochromatic k-AP in [1, n] has one
 in every longer prefix, and a sample without one has none in any shorter
 prefix.  Each sample therefore keeps the smallest n at which it is known
 to hit and the largest at which it is known to miss, and a search point
-detects only the samples whose status at its n is still unknown.
+detects only the samples whose status at its n is still unknown.  None of
+those hits at or before the smallest of their known misses, so detection
+resumes there, scanning only the k-APs that end past it.  Points carry
+words as well: each sample keeps the words of its stream generated so far,
+up to a bounded store (``_STORE_WORDS``), and a point generates only the
+words past them, so a point below one already run generates none.
 """
 
 from __future__ import annotations
@@ -42,6 +47,13 @@ from .probability import threshold_scale_lower
 #: working set cache-resident at large n.  Ranges never influence results:
 #: sample i is keyed by its absolute index.
 _CHUNK_WORDS = 1 << 18
+
+
+#: Word budget of a threshold search's word store (8 MB).  Each of the m
+#: samples of the search keeps at most ``_STORE_WORDS // m`` words of its
+#: stream; words past that column are generated at every point that
+#: needs them.
+_STORE_WORDS = 1 << 20
 
 
 def _max_n() -> int:
@@ -303,10 +315,12 @@ def threshold_search(
     exact at each budget.
 
     A point (n, m) detects, on [1, n], only those of its m samples whose
-    status at n earlier points left unknown (see the module docstring),
-    so the trace holds exactly the ``estimate_prob`` results the points
-    would give.  ``ceiling`` defaults to ``_max_n()``, the widest coloring
-    a generation buffer holds.
+    status at n earlier points left unknown, from the smallest of their
+    known misses on, and generates only the words past those that earlier
+    points kept (see the module docstring).  The trace holds exactly the
+    ``estimate_prob`` results the points would give.  ``ceiling``
+    defaults to ``_max_n()``, the widest coloring a generation buffer
+    holds.
 
     Every point runs on one pool of ``workers`` threads; results never
     depend on ``workers``.
@@ -332,25 +346,65 @@ def _search(
         ceiling = _max_n()
     trace: list[tuple[int, ProbEstimate]] = []
     cache: dict[tuple[int, int], ProbEstimate] = {}
-    # sample i hits on [1, n] for n >= hit_from[i] and misses for n <= miss_to[i]
+    # sample i hits on [1, n] for n >= hit_from[i] and misses for n <= miss_to[i];
+    # store[i, :have[i]] are the first words of its stream
     hit_from = np.empty(0, dtype=np.int64)
     miss_to = np.empty(0, dtype=np.int64)
+    have = np.empty(0, dtype=np.int64)
+    store = np.empty((0, 0), dtype=np.uint64)
+
+    def grow(m: int, n: int) -> None:
+        """Give the per-sample arrays m rows, and the store the words of
+        [1, n] in each, or as many as its budget allows."""
+        nonlocal hit_from, miss_to, have, store
+        new = m - hit_from.size
+        hit_from = np.concatenate([hit_from, np.full(new, np.iinfo(np.int64).max)])
+        miss_to = np.concatenate([miss_to, np.full(new, -1, np.int64)])
+        cols = min(_word_count(n), _STORE_WORDS // m)
+        have = np.minimum(np.concatenate([have, np.zeros(new, np.int64)]), cols)
+        kept = min(cols, store.shape[1])
+        grown = np.empty((m, cols), dtype=np.uint64)
+        grown[: m - new, :kept] = store[:, :kept]
+        store = grown
+
+    def colorings(n: int, rows: np.ndarray) -> np.ndarray:
+        """``_colorings`` of the samples ``rows``: each sample's stored
+        words, then one Philox call per distinct stored length for the
+        tail, whose stored columns are kept."""
+        nw = _word_count(n)
+        words = np.empty((rows.size, nw), dtype=np.uint64)
+        cached = np.minimum(have[rows], nw)
+        # np.unique would import numpy.ma, 1.7 MB of resident memory
+        for h in np.flatnonzero(np.bincount(cached)).tolist():
+            at = np.flatnonzero(cached == h)
+            ids = rows[at]
+            words[at, :h] = store[ids, :h]
+            if h < nw:
+                tail = _philox.words(seed, ids.astype(np.uint64), nw - h, first_word=h)
+                words[at, h:] = tail
+                kept = min(nw, store.shape[1])
+                if kept > h:
+                    store[ids, h:kept] = tail[:, : kept - h]
+                    have[ids] = kept
+        words[:, -1] &= _pad_mask(n)
+        return words
+
+    def detect(n: int, rows: np.ndarray) -> np.ndarray:
+        """Which of the undecided samples ``rows`` hit on [1, n]; none hits
+        on [1, min(miss_to)], so only later ends are scanned."""
+        done = max(0, int(miss_to[rows].min()))
+        return batch_has_mono_ap(colorings(n, rows), n, k, done=done)
 
     def estimate(n: int, m: int) -> ProbEstimate:
-        nonlocal hit_from, miss_to
         key = (n, m)
         if key not in cache:
             _chunk_size(_word_count(n))  # refuse what estimate_prob refuses
-            if m > hit_from.size:
-                grow = m - hit_from.size
-                hit_from = np.concatenate(
-                    [hit_from, np.full(grow, np.iinfo(np.int64).max)]
-                )
-                miss_to = np.concatenate([miss_to, np.full(grow, -1, np.int64)])
             ids = np.flatnonzero((miss_to[:m] < n) & (n < hit_from[:m]))
             if ids.size:
-                rows = ids.astype(np.uint64)
-                hits = run(lambda lo, hi: _hits(k, n, seed, rows[lo:hi]), ids.size, n)
+                # a new point runs at the current budget, m rows
+                if store.shape[1] < min(_word_count(n), _STORE_WORDS // m):
+                    grow(m, n)
+                hits = run(lambda lo, hi: detect(n, ids[lo:hi]), ids.size, n)
                 hit = np.concatenate(hits)
                 hit_from[ids[hit]] = n
                 miss_to[ids[~hit]] = n
@@ -389,9 +443,12 @@ def _search(
 
     m = samples
     n0 = max(k, threshold_scale_lower(k, 1.0) // 4)
+    grow(m, n0)
     lo, hi = bracket(n0, n0, m, lambda n: n // 2, lambda n: 2 * n)
     while m < 8 * samples and undecided(lo, m) and undecided(hi, m):
         m *= 2
+        # the store keeps each sample's words up to the bracket's hi
+        grow(m, hi)
         # estimates move at the new budget: restore the bracket in steps
         lo, hi = bracket(lo, hi, m, lambda n: n - step(n), lambda n: n + step(n))
 

@@ -96,16 +96,22 @@ def _coloring_chunks(n: int) -> Iterator[tuple[np.ndarray, int]]:
     fixed ``_LOW_ELEMENTS`` words, and every higher element is all ones or
     all zeros by one bit of the group index.  For n < 7 the single group
     holds fewer than 64 colorings; its other slots are padding.
+
+    Every chunk is written into one buffer, so a chunk is valid only until
+    the next is requested; a caller that keeps chunks copies them.  Freed
+    and fresh chunk-sized blocks would otherwise alternate with whatever
+    scratch the caller holds, taking new pages for most chunks.
     """
     half = 1 << (n - 1)
     groups = -(-half // 64)
     low = min(n, 7)
     one = np.uint64(1)
+    buf = np.empty((n, min(_CHUNK, groups)), dtype=np.uint64)
+    buf[0] = ~np.uint64(0)
+    buf[1:low] = _LOW_ELEMENTS[: low - 1, None]
     for lo in range(0, groups, _CHUNK):
         g = np.arange(lo, min(lo + _CHUNK, groups), dtype=np.uint64)
-        chunk = np.empty((n, g.size), dtype=np.uint64)
-        chunk[0] = ~np.uint64(0)
-        chunk[1:low] = _LOW_ELEMENTS[: low - 1, None]
+        chunk = buf[:, : g.size]
         high = chunk[low:]
         np.right_shift(g, np.arange(n - low, dtype=np.uint64)[:, None], out=high)
         high &= one
@@ -175,9 +181,11 @@ def exact_prob_mono(k: int, n: int, cap: int | None = None) -> Fraction:
     if n < k:
         return Fraction(0)
     hits = 0
+    buf = None
     for x, count in _coloring_chunks(n):
+        buf = np.empty_like(x) if buf is None else buf
         # the last chunk's padding slots past ``count`` are not reported
-        hits += int(np.bitwise_count(_any_mono(x, n, k, count)).sum())
+        hits += int(np.bitwise_count(_any_mono(x, n, k, count, buf=buf)).sum())
     return Fraction(2 * hits, 1 << n)
 
 

@@ -415,6 +415,71 @@ def _scan_has_mono(bits: np.ndarray, k: int) -> np.ndarray:
     return found
 
 
+def _mono_end_range(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of (rows, n) booleans, the first and the last element at
+    which one of its monochromatic k-APs ends (n + 1 and 0 if it has
+    none), by the direct scan of ``_scan_has_mono``."""
+    n = bits.shape[1]
+    first = np.full(bits.shape[0], n + 1)
+    last = np.zeros(bits.shape[0], dtype=int)
+    for d in range(1, (n - 1) // (k - 1) + 1):
+        steps = np.arange(n - (k - 1) * d)[:, None] + d * np.arange(k)
+        vals = bits[:, steps]
+        mono = vals.all(axis=2) | ~vals.any(axis=2)
+        ends = steps[:, -1] + 1
+        first = np.minimum(first, np.where(mono, ends, n + 1).min(axis=1))
+        last = np.maximum(last, np.where(mono, ends, 0).max(axis=1))
+    return first, last
+
+
+class TestResumedScan:
+    # With done, only the k-APs ending past element done are scanned:
+    # exact for rows with no monochromatic k-AP in [1, done], which the
+    # threshold search knows from its earlier points
+    _random_words = TestBatchKernel._random_words
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    @pytest.mark.parametrize("n", [64, 65, 130, 300])
+    def test_matches_full_scan_on_rows_missing_to_done(self, k, n):
+        words = self._random_words(1000 * k + n, 256, n)
+        bits = _bits(words, n)
+        first, _ = _mono_end_range(bits, k)
+        full = _scan_has_mono(bits, k)
+        assert np.array_equal(full, first <= n)
+        rng = np.random.default_rng(n * k)
+        # done just below some row's first hit keeps that row on the edge
+        edges = [f - 1 for f in first.tolist() if f <= n][:3]
+        for done in {0, k - 1, int(rng.integers(n)), n - 1, *edges}:
+            rows = first > done
+            if not rows.any():
+                continue
+            got = batch_has_mono_ap(words[rows], n, k, done=done)
+            assert np.array_equal(got, full[rows]), (k, n, done)
+
+    def test_hit_ending_at_done_reads_as_miss(self):
+        # the precondition is a contract: a row whose only monochromatic
+        # k-APs end at or before done is reported as a miss
+        k, n = 4, 20
+        words = self._random_words(4, 4096, n)
+        first, last = _mono_end_range(_bits(words, n), k)
+        r = np.flatnonzero((first <= n) & (last < n - 1))[0]
+        last = int(last[r])
+        row = words[r : r + 1]
+        assert naive_has_mono(int(row[0, 0]), k, n)
+        assert batch_has_mono_ap(row, n, k).tolist() == [True]
+        assert batch_has_mono_ap(row, n, k, done=last - 1).tolist() == [True]
+        assert batch_has_mono_ap(row, n, k, done=last).tolist() == [False]
+        assert batch_has_mono_ap(row, n, k, done=n - 1).tolist() == [False]
+
+    @pytest.mark.parametrize("done", [-1, 100, 101])
+    def test_rejects_done_outside_the_row(self, done):
+        words = self._random_words(5, 70, 100)
+        with pytest.raises(ValueError):
+            batch_has_mono_ap(words, 100, 3, done=done)
+        with pytest.raises(ValueError):
+            _any_mono(_bitsliced(words, 100), 100, 3, 70, done=done)
+
+
 class TestBitSliced:
     _random_words = TestBatchKernel._random_words
 
@@ -473,7 +538,8 @@ class TestBitSliced:
         for n in range(1, 17):
             y = np.arange(1 << (n - 1), dtype=np.uint64)
             rows = ((y << np.uint64(1)) | np.uint64(1)).reshape(-1, 1)
-            chunks = list(probability._coloring_chunks(n))
+            # each chunk overwrites the one before, so keep copies
+            chunks = [(x.copy(), c) for x, c in probability._coloring_chunks(n)]
             assert sum(count for _, count in chunks) == rows.shape[0]
             got = np.concatenate([x for x, _ in chunks], axis=1)
             valid = ~_padding(rows.shape[0])

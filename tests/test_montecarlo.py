@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -334,6 +335,61 @@ class TestThresholdSearch:
         assert started == [2]
         assert threshold_search(12, 0.5, 600, 3) == ref
         assert started == [2]
+
+    def test_generates_each_word_once(self, monkeypatch):
+        # points carry words: no (stream, word) pair is generated twice,
+        # and a point below one already run at its budget (every bisection
+        # midpoint) generates nothing
+        generated = []  # per point: the (stream, word) pairs generated
+        pending = []
+        words, from_counts = _philox.words, ProbEstimate.from_counts.__func__
+
+        def counted_words(seed, ids, nwords, first_word=0):
+            pending.extend(
+                (int(i), j) for i in ids for j in range(first_word, first_word + nwords)
+            )
+            return words(seed, ids, nwords, first_word=first_word)
+
+        def counted_from_counts(cls, k, n, m, successes, seed):
+            generated.append(pending[:])
+            pending.clear()
+            return from_counts(cls, k, n, m, successes, seed)
+
+        ref = threshold_search(12, 0.5, 600, 3)
+        monkeypatch.setattr(_philox, "words", counted_words)
+        monkeypatch.setattr(ProbEstimate, "from_counts", classmethod(counted_from_counts))
+        assert threshold_search(12, 0.5, 600, 3) == ref
+        pairs = [p for point in generated for p in point]
+        assert len(pairs) == len(set(pairs))
+        below = [
+            i for i, (n, e) in enumerate(ref.trace)
+            if any(e2.samples == e.samples and n2 > n for n2, e2 in ref.trace[:i])
+        ]
+        assert len(below) >= 5
+        assert all(generated[i] == [] for i in below)
+
+    @pytest.mark.parametrize("store_words", [0, 300, 1000, 2 * 300 * 6])
+    def test_small_word_store_keeps_results(self, monkeypatch, store_words):
+        # past its budget the store keeps fewer columns, or none, and the
+        # rest is generated at each point
+        monkeypatch.setattr(montecarlo, "_STORE_WORDS", store_words)
+        for k, target in ((10, 0.5), (12, 0.95)):
+            ref = estimate_driven_search(k, target, 300, 2026)
+            assert threshold_search(k, target, 300, 2026) == ref
+
+    def test_split_ranges_keep_results(self, monkeypatch):
+        # with every point split over the threads, each writes its own
+        # rows of the word store; frequent thread switches would expose a
+        # lost or crossed write
+        monkeypatch.setattr(montecarlo, "_MIN_SHARE_BITS", 1)
+        ref = estimate_driven_search(11, 0.5, 300, 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                assert threshold_search(11, 0.5, 300, 7, workers=workers) == ref
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_trace_records_every_evaluation(self):
         res = threshold_search(3, 0.5, 3000, 17)

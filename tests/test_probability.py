@@ -262,10 +262,12 @@ class TestChunkedEnumeration:
         assert union_mono_exact(fam, n) == naive_union_count(aps, n)
 
     def test_narrower_last_chunk(self, monkeypatch):
-        # 32 groups in chunks of 3: the last chunk has 2 groups and counts
-        # in views of the count buffers sized for the first
+        # 32 groups in chunks of 3: the last chunk has 2 groups, is a view
+        # of the chunk buffer, and counts and detects in views of the
+        # scratch sized for the first
         monkeypatch.setattr(probability, "_CHUNK", 3)
         assert mono_count_distribution(3, 12).counts == naive_distribution(3, 12)
+        assert exact_prob_mono(3, 12) == naive_prob_mono(3, 12)
 
 
 class TestMomentBounds:
