@@ -8,6 +8,12 @@ windows are pairwise disjoint, two distinct members can never share two
 elements: the family is almost disjoint.  Its size n^2/(2k^2(k-1)) + O(n)
 is within a 1 + O(1/k) factor of n^2/(2k^3) and is quadratic in n, while a
 family of disjoint progressions could only reach linear size.
+
+Families are stored packed: a member is one entry of two int64 arrays,
+starts and diffs, and ``Progression`` objects are built only when a caller
+iterates or indexes.  The almost-disjointness check and the greedy
+maximization work on those arrays and on the C(k, 2) element-pair keys
+x*(n+1)+y they give, never on one progression at a time.
 """
 
 from __future__ import annotations
@@ -19,16 +25,22 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .progressions import Progression, _check_k, _check_n, contained_in
+from .progressions import Progression, _check_k, _check_n
 
 #: Member count at which the benchmark splits small-family from
 #: large-family check times.  It selects no algorithm: every family takes
 #: the same sorted pair-key pass in ``is_almost_disjoint``.
 ALL_PAIRS_FALLBACK = 1000
 
-#: Largest n ``greedy_max_family`` accepts: its pair table takes (n+1)^2
-#: bytes (268 MB here) and its scan is quadratic in n.
+#: Largest n ``greedy_max_family`` accepts: its uint8 pair table takes
+#: (n+1)^2 bytes (268 MB at the cap) and its scan offers all
+#: ~n^2/(2k-2) k-APs, one numpy batch per difference or per start.
 GREEDY_MAX_N = 1 << 14
+
+#: Most pair keys one gather of ``greedy_max_family`` holds (512 KB of
+#: int64), whatever C(k, 2) is: a batch is cut into slabs of candidates,
+#: and past C(k, 2) = _KEY_BUDGET a candidate's pairs into blocks, to fit.
+_KEY_BUDGET = 1 << 16
 
 
 def _diff_bounds(k: int, n: int) -> tuple[int, int]:
@@ -93,14 +105,78 @@ class _LargeDiffMembers(Sequence):
         a = idx - self._count_upto(lo - 1) + 1
         return Progression(a, lo, self.k)
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every member's start and diff, in order, from the closed form:
+        difference d has the starts 1..n-(k-1)d."""
+        d = np.arange(self.d_lo, self.d_hi + 1, dtype=np.int64)
+        counts = self.n - (self.k - 1) * d
+        diffs = np.repeat(d, counts)
+        starts = np.arange(1, len(diffs) + 1, dtype=np.int64)
+        starts -= np.repeat(np.cumsum(counts) - counts, counts)
+        return starts, diffs
+
+
+class _PackedMembers(Sequence):
+    """Member list stored as int64 start and diff arrays sorted by
+    (diff, start); a ``Progression`` is built only when one is asked for."""
+
+    __slots__ = ("k", "starts", "diffs")
+
+    def __init__(self, k: int, starts: np.ndarray, diffs: np.ndarray):
+        self.k = k
+        self.starts = starts
+        self.diffs = diffs
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __iter__(self) -> Iterator[Progression]:
+        k = self.k
+        for a, d in zip(self.starts.tolist(), self.diffs.tolist()):
+            yield Progression(a, d, k)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return tuple(_PackedMembers(self.k, self.starts[idx], self.diffs[idx]))
+        return Progression(int(self.starts[idx]), int(self.diffs[idx]), self.k)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.starts, self.diffs
+
+
+def _pack(k: int, n: int, members: Iterable[Progression]) -> _PackedMembers:
+    """Sort progressions by (diff, start) into packed arrays, refusing a
+    member whose length is not k, one not inside [1, n] (the first such in
+    that order) and duplicates."""
+    fields = np.array(
+        [(p.start, p.diff, p.length) for p in members], dtype=np.int64
+    ).reshape(-1, 3)
+    fields = fields[np.lexsort((fields[:, 0], fields[:, 1]))]
+    starts, diffs, lengths = np.ascontiguousarray(fields.T)
+    bad = (lengths != k) | (starts + (lengths - 1) * diffs > n)
+    if bad.any():
+        p = Progression(*fields[bad.argmax()].tolist())
+        if p.length != k:
+            raise ValueError(f"member {p} does not have length k={k}")
+        raise ValueError(f"member {p} is not contained in [1, {n}]")
+    same = (starts[1:] == starts[:-1]) & (diffs[1:] == diffs[:-1])
+    if same.any():
+        p = Progression(*fields[same.argmax() + 1].tolist())
+        raise ValueError(f"duplicate member {p}")
+    return _PackedMembers(k, starts, diffs)
+
 
 class APFamily:
     """An immutable family of k-APs contained in [1, n].
 
-    Members are kept sorted by (diff, start) and pairwise distinct.
-    ``certified_almost_disjoint`` marks families whose construction
-    guarantees almost-disjointness, letting density computations skip a
-    re-check that would be infeasible at large n.
+    Members are pairwise distinct and ordered by (diff, start).  They are
+    stored packed, as int64 start and diff arrays, and ``members``,
+    iteration and indexing build ``Progression`` objects on demand; the
+    large-difference family stays virtual and gives its arrays by closed
+    form.  Progressions passed in are validated: length k, inside [1, n],
+    no duplicates.  ``certified_almost_disjoint`` marks families whose
+    construction guarantees almost-disjointness, letting density
+    computations skip a re-check that would be infeasible at large n.
     """
 
     __slots__ = ("k", "n", "_members", "certified_almost_disjoint")
@@ -117,19 +193,28 @@ class APFamily:
         self.k = k
         self.n = n
         if isinstance(members, _LargeDiffMembers):
-            self._members: Sequence[Progression] = members
+            self._members: _PackedMembers | _LargeDiffMembers = members
         else:
-            ordered = sorted(members, key=lambda p: (p.diff, p.start))
-            for p in ordered:
-                if p.length != k:
-                    raise ValueError(f"member {p} does not have length k={k}")
-                if not contained_in(p, n):
-                    raise ValueError(f"member {p} is not contained in [1, {n}]")
-            for prev, cur in zip(ordered, ordered[1:]):
-                if prev == cur:
-                    raise ValueError(f"duplicate member {cur}")
-            self._members = tuple(ordered)
+            self._members = _pack(k, n, members)
         self.certified_almost_disjoint = certified_almost_disjoint
+
+    @classmethod
+    def _packed(
+        cls,
+        k: int,
+        n: int,
+        starts: np.ndarray,
+        diffs: np.ndarray,
+        certified_almost_disjoint: bool,
+    ) -> APFamily:
+        """A family over arrays already sorted by (diff, start), distinct
+        and inside [1, n]; nothing is checked."""
+        fam = cls.__new__(cls)
+        fam.k = k
+        fam.n = n
+        fam._members = _PackedMembers(k, starts, diffs)
+        fam.certified_almost_disjoint = certified_almost_disjoint
+        return fam
 
     @property
     def members(self) -> Sequence[Progression]:
@@ -146,7 +231,10 @@ class APFamily:
             return NotImplemented
         if self.k != other.k or self.n != other.n or len(self) != len(other):
             return False
-        return all(p == q for p, q in zip(self, other))
+        return all(
+            np.array_equal(x, y)
+            for x, y in zip(self._members.arrays(), other._members.arrays())
+        )
 
     def __repr__(self) -> str:
         return f"APFamily(k={self.k}, n={self.n}, members={len(self)})"
@@ -194,7 +282,16 @@ def large_diff_family_size(k: int, n: int) -> int:
     return _LargeDiffMembers(k, n)._count_upto(n)
 
 
-def _pair_keys(family: APFamily, members: Sequence[Progression]) -> np.ndarray:
+def _member_elements(family: APFamily) -> np.ndarray:
+    """The (members, k) int64 matrix of member elements, start + diff*j for
+    j < k, one row per member in (diff, start) order."""
+    starts, diffs = family._members.arrays()
+    elems = diffs[:, None] * np.arange(family.k, dtype=np.int64)
+    elems += starts[:, None]
+    return elems
+
+
+def _pair_keys(family: APFamily) -> np.ndarray:
     """The C(k, 2) keys x*(n+1)+y of the element pairs x < y of every
     member, one row per member.
 
@@ -202,14 +299,8 @@ def _pair_keys(family: APFamily, members: Sequence[Progression]) -> np.ndarray:
     replaced by their ranks among all member elements: ranks keep equality,
     and equality is all the keys are compared by.
     """
-    k, m = family.k, len(members)
-    elems = np.empty((m, k), dtype=np.int64)
-    np.multiply(
-        np.fromiter((p.diff for p in members), np.int64, m)[:, None],
-        np.arange(k, dtype=np.int64),
-        out=elems,
-    )
-    elems += np.fromiter((p.start for p in members), np.int64, m)[:, None]
+    elems = _member_elements(family)
+    m, k = elems.shape
     base = family.n + 1
     if base * base >= 1 << 63:
         ranked, inverse = np.unique(elems, return_inverse=True)
@@ -231,17 +322,16 @@ def is_almost_disjoint(
     {x < y} is covered twice: the C(k, 2) pair keys of all members are
     sorted together and any equal neighbours are a violation.  The two
     members owning the smallest repeated key are the witness, looked up
-    only on failure.
+    only on failure; they are the only ``Progression`` objects built.
     """
-    members = list(family)
-    keys = _pair_keys(family, members).ravel()
+    keys = _pair_keys(family).ravel()
     keys.sort()
     repeated = keys[1:] == keys[:-1]
     if not repeated.any():
         return True, None
-    owners = (_pair_keys(family, members) == keys[repeated.argmax()]).any(axis=1)
-    i, j = np.flatnonzero(owners)[:2]
-    return False, (members[i], members[j])
+    owners = (_pair_keys(family) == keys[repeated.argmax()]).any(axis=1)
+    i, j = np.flatnonzero(owners)[:2].tolist()
+    return False, (family.members[i], family.members[j])
 
 
 GreedyOrder = Literal["lex_by_diff_start", "lex_by_start_diff"]
@@ -255,14 +345,26 @@ def greedy_max_family(
 ) -> APFamily:
     """Greedily grow an almost-disjoint family over all k-APs in [1, n].
 
-    Scans every k-AP in the chosen order and inserts each one that keeps
-    the family almost disjoint.  A byte per element pair {x < y}, indexed
-    by the key x*(n+1)+y, records whether a member covers it; a candidate
-    is admissible iff none of its C(k, 2) pairs is covered yet, so the
-    table takes (n+1)^2 bytes; n above ``GREEDY_MAX_N`` is refused before
-    anything is allocated.  With ``seed_with_large_diff`` the
-    large-difference family is inserted first, so the result size is at
+    Offers every k-AP in the chosen order and keeps each one that keeps
+    the family almost disjoint.  A uint8 table over the keys x*(n+1)+y of
+    the element pairs {x < y} records which pairs kept members cover; a
+    candidate is admissible iff none of its C(k, 2) pairs is covered yet,
+    so the table takes (n+1)^2 bytes; n above ``GREEDY_MAX_N`` is refused
+    before anything is allocated.  With ``seed_with_large_diff`` the
+    large-difference family is offered first, so the result size is at
     least ``large_diff_family_size(k, n)``.
+
+    Candidates are offered a batch at a time: all starts of one d for
+    ``lex_by_diff_start`` and for the seed, all diffs of one start a for
+    ``lex_by_start_diff``.  One gather of the table keeps the candidates
+    whose pairs are all free; an in-batch rule then drops each one that
+    clashes (shares two elements) with a kept candidate before it in the
+    batch, and one scatter marks the kept candidates' pairs.  With one d,
+    two candidates clash iff their starts are congruent mod d and less
+    than (k-1)d apart; with one a, iff they share an element besides a.
+    A gather holds at most ``_KEY_BUDGET`` keys, whatever k is: a batch is
+    cut into slabs, each filtered against the table as it stands when the
+    slab starts.  The result is the one-candidate-at-a-time greedy's.
 
     The scan order is part of the contract: it pins the result, making
     density figures reproducible across runs and platforms.
@@ -277,44 +379,109 @@ def greedy_max_family(
             f"the cap n <= {GREEDY_MAX_N}"
         )
     if n < k:  # no k-AP fits: skip the table and the C(k, 2) pair offsets
-        return APFamily(k, n, [], certified_almost_disjoint=True)
+        none = np.empty(0, dtype=np.int64)
+        return APFamily._packed(k, n, none, none, certified_almost_disjoint=True)
 
-    covered = bytearray((n + 1) ** 2)
+    covered = np.zeros((n + 1) ** 2, dtype=np.uint8)
     # key of the pair (a + i*d, a + j*d) is a*(n+2) + d*(i*(n+1) + j)
-    offsets = [i * (n + 1) + j for i in range(k) for j in range(i + 1, k)]
-    accepted: list[Progression] = []
+    offsets = np.concatenate(
+        [i * (n + 1) + np.arange(i + 1, k, dtype=np.int64) for i in range(k - 1)]
+    )
+    # Past k = 16 the first row (the k-1 pairs through a) is under an
+    # eighth of all pairs; at large k it rejects most candidates, so each
+    # batch is first tested on it alone, against the table as the batch
+    # starts.  A candidate that passes is tested in full in its slab.
+    head = k - 1 if k > 16 else 0
+    width = min(len(offsets) - head, _KEY_BUDGET)
+    blocks = [offsets[:head]] if head else []
+    blocks += [offsets[i : i + width] for i in range(head, len(offsets), width)]
+    slab = _KEY_BUDGET // width
+    kept_starts: list[np.ndarray] = []
+    kept_diffs: list[np.ndarray] = []
 
-    def try_insert(a: int, d: int) -> None:
-        base = a * (n + 2)
-        for c in offsets:
-            if covered[base + d * c]:
-                return
-        for c in offsets:
-            covered[base + d * c] = 1
-        accepted.append(Progression(a, d, k))
+    def insert(starts: np.ndarray, diffs: np.ndarray, rule) -> None:
+        """Offer the candidates (starts[i], diffs[i]) in order; ``rule``
+        picks, from a slab's free candidates, those to keep."""
+        if head:
+            cuts = range(_KEY_BUDGET // head, len(starts), _KEY_BUDGET // head)
+            ok = np.concatenate([
+                ~covered[_keys(a, d, blocks[0], n)].any(axis=1)
+                for a, d in zip(np.split(starts, cuts), np.split(diffs, cuts))
+            ])
+            starts, diffs = starts[ok], diffs[ok]
+        for lo in range(0, len(starts), slab):
+            a, d = starts[lo : lo + slab], diffs[lo : lo + slab]
+            for block in blocks:
+                ok = ~covered[_keys(a, d, block, n)].any(axis=1)
+                a, d = a[ok], d[ok]
+            picks = rule(a, d)
+            a, d = a[picks], d[picks]
+            for block in blocks:
+                covered[_keys(a, d, block, n)] = 1
+            kept_starts.append(a)
+            kept_diffs.append(d)
+
+    def insert_diffs(d_lo: int, d_hi: int) -> None:
+        for d in range(d_lo, d_hi + 1):
+            starts = np.arange(1, n - (k - 1) * d + 1, dtype=np.int64)
+            diffs = np.full_like(starts, d)
+            insert(starts, diffs, lambda a, _: _by_residue(k, d, a))
 
     if seed_with_large_diff:
-        for p in large_diff_family(k, n):
-            try_insert(p.start, p.diff)
-
+        insert_diffs(*_diff_bounds(k, n))
     # a member covers its own pairs, so the scan rejects it a second time
-    d_cap = (n - 1) // (k - 1)
     if order == "lex_by_diff_start":
-        scan = (
-            (a, d)
-            for d in range(1, d_cap + 1)
-            for a in range(1, n - (k - 1) * d + 1)
-        )
+        insert_diffs(1, (n - 1) // (k - 1))
     else:
-        scan = (
-            (a, d)
-            for a in range(1, n - (k - 1) + 1)
-            for d in range(1, (n - a) // (k - 1) + 1)
-        )
-    for a, d in scan:
-        try_insert(a, d)
+        for a in range(1, n - (k - 1) + 1):
+            diffs = np.arange(1, (n - a) // (k - 1) + 1, dtype=np.int64)
+            insert(np.full_like(diffs, a), diffs, lambda _, d: _by_steps(k, d))
 
-    return APFamily(k, n, accepted, certified_almost_disjoint=True)
+    starts, diffs = np.concatenate(kept_starts), np.concatenate(kept_diffs)
+    ranked = np.lexsort((starts, diffs))
+    return APFamily._packed(
+        k, n, starts[ranked], diffs[ranked], certified_almost_disjoint=True
+    )
+
+
+def _keys(
+    starts: np.ndarray, diffs: np.ndarray, offsets: np.ndarray, n: int
+) -> np.ndarray:
+    """Pair keys a*(n+2) + d*c: a row per candidate (a, d), a column per
+    offset c."""
+    keys = np.multiply.outer(diffs, offsets)
+    keys += (starts * (n + 2))[:, None]
+    return keys
+
+
+def _by_residue(k: int, d: int, starts: np.ndarray) -> list[int]:
+    """Greedy picks among k-APs of one difference d, by position: two
+    clash iff their starts are congruent mod d and less than (k-1)d apart,
+    so a start is kept iff it lies (k-1)d or more past the last one kept
+    in its residue class."""
+    span = (k - 1) * d
+    last = [-span] * d  # the last start kept, by residue
+    picks = []
+    for i, a in enumerate(starts.tolist()):
+        r = a % d
+        if a - last[r] >= span:
+            last[r] = a
+            picks.append(i)
+    return picks
+
+
+def _by_steps(k: int, diffs: np.ndarray) -> list[int]:
+    """Greedy picks among k-APs of one start, by position: two clash iff
+    they share an element besides the start, that is a step i*d of one
+    equals a step j*d' of the other (0 < i, j < k)."""
+    taken: set[int] = set()
+    picks = []
+    for i, d in enumerate(diffs.tolist()):
+        steps = range(d, k * d, d)
+        if taken.isdisjoint(steps):
+            taken.update(steps)
+            picks.append(i)
+    return picks
 
 
 def family_density(family: APFamily) -> float:

@@ -36,14 +36,20 @@ from .coloring import (
     _plane_histogram,
 )
 from .errors import BruteForceCapError
-from .family import APFamily, _check_f, block_count, block_plan, large_diff_family_size
+from .family import (
+    APFamily,
+    _check_f,
+    _member_elements,
+    block_count,
+    block_plan,
+    large_diff_family_size,
+)
 from .progressions import (
     Progression,
     _check_k,
     _check_n,
     contained_in,
     count_aps,
-    elements,
     intersection_size,
 )
 
@@ -272,12 +278,13 @@ def union_mono_exact(family: APFamily, s: int, cap: int | None = None) -> int:
     """Exact number of colorings of [1, s] with some family member mono."""
     _check_n(s)
     _check_cap(s, cap)
-    members = []
+    # members are distinct, so at most count_aps(k, s) of them pass: the
+    # loop stops early even on a huge virtual family
     for p in family:
         if not contained_in(p, s):
             raise ValueError(f"member {p} is not contained in [1, {s}]")
-        members.append(np.array(elements(p)) - 1)
-    if not members:
+    members = _member_elements(family) - 1
+    if not len(members):
         return 0
     hits = 0
     for x, count in _coloring_chunks(s):

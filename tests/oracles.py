@@ -186,3 +186,43 @@ def estimate_driven_search(k, target, samples, seed, workers=1,
         seed=seed,
         trace=tuple(trace),
     )
+
+
+def table_greedy(k: int, n: int, seeded: bool = False,
+                 order: str = "lex_by_diff_start") -> list[tuple[int, int]]:
+    """Greedy almost-disjoint family as (start, diff) pairs sorted by
+    (diff, start), one candidate at a time: a byte per element pair
+    {x < y} at x*(n+1)+y marks the pairs kept members cover, and a
+    candidate is kept iff it covers none of them.  Offers the
+    large-difference members (n <= k d, (k-1) d < n) first when seeded.
+    Linear in the candidates, so it reaches n in the thousands where
+    ``naive_greedy`` cannot."""
+    covered = bytearray((n + 1) ** 2)
+    # the pair (a + i*d, a + j*d) sits at a*(n+2) + d*(i*(n+1) + j)
+    offsets = [i * (n + 1) + j for i in range(k) for j in range(i + 1, k)]
+    kept = []
+
+    def offer(a, d):
+        base = a * (n + 2)
+        for c in offsets:
+            if covered[base + d * c]:
+                return
+        for c in offsets:
+            covered[base + d * c] = 1
+        kept.append((a, d))
+
+    d_cap = (n - 1) // (k - 1) if n >= k else 0
+    if seeded:
+        for d in range(1, d_cap + 1):
+            if k * d >= n > (k - 1) * d:
+                for a in range(1, n - (k - 1) * d + 1):
+                    offer(a, d)
+    if order == "lex_by_diff_start":
+        scan = [(a, d) for d in range(1, d_cap + 1)
+                for a in range(1, n - (k - 1) * d + 1)]
+    else:
+        scan = [(a, d) for a in range(1, n - k + 2)
+                for d in range(1, (n - a) // (k - 1) + 1)]
+    for a, d in scan:
+        offer(a, d)
+    return sorted(kept, key=lambda ad: (ad[1], ad[0]))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apth.family import (
+    _KEY_BUDGET,
     GREEDY_MAX_N,
     APFamily,
     block_count,
@@ -19,7 +20,7 @@ from apth.family import (
 )
 from apth.progressions import Progression, elements, intersection_size
 
-from oracles import ap_tuples, naive_block_count, naive_greedy
+from oracles import ap_tuples, naive_block_count, naive_greedy, table_greedy
 
 
 def brute_family_members(k, n):
@@ -96,6 +97,54 @@ class TestLargeDiffFamily:
         fam = large_diff_family(3, 10**6)
         assert len(fam) == large_diff_family_size(3, 10**6)
         assert fam.certified_almost_disjoint
+
+
+class TestPackedMembers:
+    def test_sorted_by_diff_then_start(self):
+        fam = APFamily(3, 20, [Progression(5, 2, 3), Progression(2, 4, 3),
+                               Progression(1, 2, 3), Progression(9, 1, 3)])
+        assert [(p.start, p.diff) for p in fam] == [(9, 1), (1, 2), (5, 2), (2, 4)]
+
+    @pytest.mark.parametrize("members, message", [
+        # the first offending member in (diff, start) order is named
+        ([(1, 1, 3), (7, 1, 4), (2, 1, 4)],
+         r"Progression\(start=2, diff=1, length=4\) does not have length k=3"),
+        ([(5, 3, 3), (1, 1, 3), (1, 5, 3)],
+         r"Progression\(start=5, diff=3, length=3\) is not contained in \[1, 10\]"),
+        ([(9, 1, 3), (2, 5, 4)],
+         r"Progression\(start=9, diff=1, length=3\) is not contained"),
+        ([(1, 1, 3), (2, 2, 3), (1, 1, 3)],
+         r"duplicate member Progression\(start=1, diff=1, length=3\)"),
+    ])
+    def test_rejects_bad_members(self, members, message):
+        with pytest.raises(ValueError, match=message):
+            APFamily(3, 10, [Progression(*m) for m in members])
+
+    def test_accepts_any_iterable(self):
+        members = [Progression(4, 3, 3), Progression(1, 2, 3)]
+        assert APFamily(3, 10, iter(members)) == APFamily(3, 10, members)
+
+    def test_sequence_access(self):
+        fam = greedy_max_family(3, 30)
+        listed = list(fam)
+        assert [fam.members[i] for i in range(len(fam))] == listed
+        assert fam.members[-1] == listed[-1]
+        assert fam.members[2:7] == tuple(listed[2:7])
+        assert listed[5] in fam.members
+        assert Progression(2, 1, 3) not in fam.members  # clashes with (1, 1)
+        with pytest.raises(IndexError):
+            fam.members[len(fam)]
+        assert all(type(p.start) is int and type(p.diff) is int for p in fam)
+
+    def test_virtual_and_packed_agree(self):
+        for k in (3, 4, 7):
+            for n in (k, 2 * k, 100, 451):
+                virtual = large_diff_family(k, n)
+                packed = APFamily(k, n, list(virtual))
+                assert virtual == packed and packed == virtual
+                assert list(packed) == list(virtual)
+        assert APFamily(3, 30, []) == APFamily(3, 30, [])
+        assert large_diff_family(3, 30) != APFamily(3, 30, [Progression(1, 1, 3)])
 
 
 class TestFamilySize:
@@ -263,6 +312,42 @@ class TestGreedy:
             fam = greedy_max_family(k, n, seed_with_large_diff=seeded, order=order)
             got = sorted((p.start, p.diff) for p in fam)
             assert got == naive_greedy(k, n, seeded, order), (n,)
+
+    @pytest.mark.parametrize("order", ["lex_by_diff_start", "lex_by_start_diff"])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_matches_table_oracle(self, seeded, order):
+        for k in range(3, 8):
+            for n in range(1, 121):
+                fam = greedy_max_family(k, n, seed_with_large_diff=seeded, order=order)
+                got = [(p.start, p.diff) for p in fam]
+                assert got == table_greedy(k, n, seeded, order), (k, n)
+
+    @pytest.mark.parametrize("order", ["lex_by_diff_start", "lex_by_start_diff"])
+    @pytest.mark.parametrize("k, n, seeded", [
+        (4, 600, True), (3, 1000, True), (40, 400, False), (40, 400, True),
+        # past k = 16 each batch is screened on its first pair row first;
+        # past C(k, 2) = _KEY_BUDGET a candidate's pairs take two gathers
+        (17, 300, False), (20, 500, True), (400, 1000, False),
+    ])
+    def test_matches_table_oracle_at_scale(self, k, n, seeded, order):
+        fam = greedy_max_family(k, n, seed_with_large_diff=seeded, order=order)
+        got = [(p.start, p.diff) for p in fam]
+        assert got == table_greedy(k, n, seeded, order)
+
+    def test_gathers_stay_within_the_key_budget(self):
+        # one unslabbed d=1 batch would gather 901 x C(100, 2) int64 keys,
+        # 36 MB; slabs of _KEY_BUDGET keys keep the peak near the table
+        n = 1000
+        tracemalloc.start()
+        try:
+            fam = greedy_max_family(100, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(fam) == 10
+        # 8 bytes a key for the key matrix, as much again for the gather,
+        # the pair offsets and the candidates
+        assert peak < (n + 1) ** 2 + 16 * _KEY_BUDGET
 
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError):
