@@ -326,7 +326,7 @@ class TestGreedy:
     @pytest.mark.parametrize("k, n, seeded", [
         (4, 600, True), (3, 1000, True), (40, 400, False), (40, 400, True),
         # past k = 16 each batch is screened on its first pair row first;
-        # past C(k, 2) = _KEY_BUDGET a candidate's pairs take two gathers
+        # past C(k, 2) = _KEY_BUDGET a candidate's pairs take several gathers
         (17, 300, False), (20, 500, True), (400, 1000, False),
     ])
     def test_matches_table_oracle_at_scale(self, k, n, seeded, order):
