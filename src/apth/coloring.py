@@ -19,13 +19,17 @@ samples that hit early stay in the scan.
 The Monte Carlo engine (which saves the work of early hits by detecting
 on a prefix first), the scalar ``Coloring`` API (a batch of one row) and
 the exact oracles (which build element-major chunks directly) all call
-this kernel, which has one path.  Besides detection, it counts
-monochromatic k-APs per sample: the run rows of every d are summed
-column-wise by carry-save (3:2) adder layers into a total kept as bit
-planes, plane j holding bit j of 64 samples' counts.  The exact count
-distribution reads its histogram from those planes directly.  The
-kernel's agreement with direct scans over element tuples is asserted by
-the test suite.
+this kernel, which has one path and three sinks for its chains.  Besides
+detection, it counts monochromatic k-APs per sample: the run rows of
+every d are summed column-wise by carry-save (3:2) adder layers into a
+total kept as bit planes, plane j holding bit j of 64 samples' counts.
+The exact count distribution reads its histogram from those planes
+directly.  The third sink gives each sample's first hit, the smallest n
+whose prefix [1, n] holds a monochromatic k-AP, which the threshold
+search keeps per sample: the chains of every d are ANDed into one row per
+element at which a k-AP ends, those rows are prefix-ANDed, and the rows
+still set are counted by the same adders.  The kernel's agreement with
+direct scans over element tuples is asserted by the test suite.
 """
 
 from __future__ import annotations
@@ -446,6 +450,41 @@ def _plane_values(planes: np.ndarray, samples: int) -> np.ndarray:
     sample whose bit j is plane j.
     """
     return _bitsliced(planes, samples)[:, 0].view(np.int64)
+
+
+def _first_hits(
+    b: np.ndarray, n: int, k: int, samples: int, *, done: int = 0
+) -> np.ndarray:
+    """Per sample of the element-major ``b``, its first hit: the smallest
+    n' <= n whose prefix [1, n'] holds a monochromatic k-AP, or n + 1 if
+    [1, n] holds none, as an int64 vector of the first ``samples``.
+
+    The break rows of each d are ANDed into an end-aligned matrix, whose
+    row e is clear for a sample once a monochromatic k-AP of it ends at
+    element done+e+1.  ANDing each row into all later ones, by doubling,
+    leaves a sample's rows set up to its first hit and clear from there
+    on, so ``_carry_save`` counts the rows before it.  ``done`` is as for
+    ``_any_mono``: only the k-APs ending past it are checked, which is
+    exact for samples with none in [1, done]; 0 <= done < n.
+    """
+    if not 0 <= done < n:
+        raise ValueError(f"done must lie in [0, n={n}), got {done}")
+    rows, groups = n - done, b.shape[1]
+    # two spare rows past the ends, for _carry_save
+    ends = np.full((rows + 2, groups), _FULL_WORD)
+    buf = np.empty_like(b)
+    for d in range(1, (n - 1) // (k - 1) + 1):
+        chain = _breaks(b[max(0, done - (k - 1) * d) :], d, k, buf)
+        ends[rows - chain.shape[0] : rows] &= chain
+    shift = 1
+    while shift < rows:
+        np.bitwise_and(ends[shift:rows], ends[: rows - shift], out=ends[shift:rows])
+        shift *= 2
+    held = np.empty((rows.bit_length(), 2, groups), dtype=np.uint64)
+    heights = [0] * held.shape[0]
+    spare = np.empty(((rows + 2) // 2 + 2, groups), dtype=np.uint64)
+    _carry_save(ends, rows, held, heights, spare)
+    return done + 1 + _plane_values(_resolve(held, heights), samples)
 
 
 def _plane_histogram(planes: np.ndarray, samples: int, top: int) -> np.ndarray:

@@ -18,14 +18,18 @@ there, so past the threshold most rows are never generated whole.
 The same prefix property lets ``threshold_search`` carry what it learns
 from point to point: a sample with a monochromatic k-AP in [1, n] has one
 in every longer prefix, and a sample without one has none in any shorter
-prefix.  Each sample therefore keeps the smallest n at which it is known
-to hit and the largest at which it is known to miss, and a search point
-detects only the samples whose status at its n is still unknown.  None of
-those hits at or before the smallest of their known misses, so detection
-resumes there, scanning only the k-APs that end past it.  Points carry
-words as well: each sample keeps the words of its stream generated so far,
-up to a bounded store (``_STORE_WORDS``), and a point generates only the
-words past them, so a point below one already run generates none.
+prefix, so its status at every n is fixed by its first hit, the smallest
+n whose prefix holds one.  Search points detect first hits, not just
+hits: a sample that hits keeps its exact first hit and is never detected
+again, and a sample that misses keeps the largest n at which it is known
+to miss.  A search point detects only the samples that have not hit and
+are not known to miss at its n.  None of those hits at or before the
+smallest of their known misses, so detection resumes there, scanning only
+the k-APs that end past it.  Points carry words as well: each sample keeps
+the words of its stream generated so far, up to a bounded store
+(``_STORE_WORDS``), and a point generates only the words past them, so a
+point below one already run at its budget generates none and detects
+none.
 """
 
 from __future__ import annotations
@@ -38,7 +42,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _philox
-from .coloring import WORD_BITS, _pad_mask, _word_count, batch_has_mono_ap
+from .coloring import (
+    WORD_BITS,
+    _bitsliced,
+    _first_hits,
+    _pad_mask,
+    _word_count,
+    batch_has_mono_ap,
+)
 from .errors import SearchCeilingError
 from .progressions import _check_k, _check_n
 from .probability import threshold_scale_lower
@@ -314,9 +325,11 @@ def threshold_search(
     of estimates across n (see the module docstring) keeps the invariant
     exact at each budget.
 
-    A point (n, m) detects, on [1, n], only those of its m samples whose
-    status at n earlier points left unknown, from the smallest of their
-    known misses on, and generates only the words past those that earlier
+    Each sample keeps its exact first hit once a point has seen it hit,
+    and otherwise the largest n at which it is known to miss.  A point
+    (n, m) detects, on [1, n], only those of its m samples that have not
+    hit and are not known to miss at n, from the smallest of their known
+    misses on, and generates only the words past those that earlier
     points kept (see the module docstring).  The trace holds exactly the
     ``estimate_prob`` results the points would give.  ``ceiling``
     defaults to ``_max_n()``, the widest coloring a generation buffer
@@ -346,7 +359,8 @@ def _search(
         ceiling = _max_n()
     trace: list[tuple[int, ProbEstimate]] = []
     cache: dict[tuple[int, int], ProbEstimate] = {}
-    # sample i hits on [1, n] for n >= hit_from[i] and misses for n <= miss_to[i];
+    # sample i hits on [1, n] for n >= hit_from[i] and misses for n <= miss_to[i],
+    # so hit_from[i] is its first hit once miss_to[i] = hit_from[i] - 1;
     # store[i, :have[i]] are the first words of its stream
     hit_from = np.empty(0, dtype=np.int64)
     miss_to = np.empty(0, dtype=np.int64)
@@ -390,10 +404,12 @@ def _search(
         return words
 
     def detect(n: int, rows: np.ndarray) -> np.ndarray:
-        """Which of the undecided samples ``rows`` hit on [1, n]; none hits
-        on [1, min(miss_to)], so only later ends are scanned."""
+        """The first hits, or n + 1, of the undecided samples ``rows`` on
+        [1, n]; none hits on [1, min(miss_to)], so only later ends are
+        scanned."""
         done = max(0, int(miss_to[rows].min()))
-        return batch_has_mono_ap(colorings(n, rows), n, k, done=done)
+        b = _bitsliced(colorings(n, rows), n)
+        return _first_hits(b, n, k, rows.size, done=done)
 
     def estimate(n: int, m: int) -> ProbEstimate:
         key = (n, m)
@@ -404,10 +420,12 @@ def _search(
                 # a new point runs at the current budget, m rows
                 if store.shape[1] < min(_word_count(n), _STORE_WORDS // m):
                     grow(m, n)
-                hits = run(lambda lo, hi: detect(n, ids[lo:hi]), ids.size, n)
-                hit = np.concatenate(hits)
-                hit_from[ids[hit]] = n
-                miss_to[ids[~hit]] = n
+                first = np.concatenate(
+                    run(lambda lo, hi: detect(n, ids[lo:hi]), ids.size, n)
+                )
+                hit = first <= n
+                hit_from[ids[hit]] = first[hit]
+                miss_to[ids] = first - 1
             successes = int(np.count_nonzero(hit_from[:m] <= n))
             e = ProbEstimate.from_counts(k, n, m, successes, seed)
             cache[key] = e

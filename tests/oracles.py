@@ -29,6 +29,11 @@ def naive_has_mono(bits: int, k: int, n: int) -> bool:
     return any(is_mono(bits, ap) for ap in ap_tuples(k, n))
 
 
+def naive_first_hit(bits: int, k: int, n: int) -> int:
+    """The smallest e <= n with a monochromatic k-AP in [1, e], or n + 1."""
+    return next((e for e in range(1, n + 1) if naive_has_mono(bits, k, e)), n + 1)
+
+
 def naive_count_mono(bits: int, k: int, n: int) -> int:
     return sum(is_mono(bits, ap) for ap in ap_tuples(k, n))
 

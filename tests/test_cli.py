@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -203,6 +204,15 @@ class TestSweepAndReport:
                            "--format", "json")
         obj = json.loads(out)
         assert [r["k"] for r in obj["rows"]] == [3]
+
+    def test_report_output_is_pinned(self, capsys):
+        # changes to the search must leave every reported number as it is
+        code, out, _ = run(capsys, "report", "--k-low", "8", "--k-high", "12",
+                           "--samples", "300", "--seed", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "25fe4896bb0363e4ba32c9eceac801ef7a7139046ae9bbe5e76ba4aab3280971"
+        )
 
     def test_ceiling_exit_code(self, capsys):
         code, _, err = run(capsys, "sweep", "--k", "8", "--target", "0.9",

@@ -13,6 +13,7 @@ from apth.coloring import (
     _bitsliced,
     _breaks,
     _carry_save,
+    _first_hits,
     _mono_counts,
     _padding,
     _plane_histogram,
@@ -30,6 +31,7 @@ from oracles import (
     ap_tuples,
     is_mono,
     naive_count_mono,
+    naive_first_hit,
     naive_has_mono,
 )
 
@@ -349,10 +351,9 @@ def _prefix(words: np.ndarray, n: int) -> np.ndarray:
 
 class TestFirstHit:
     # The first hit of a coloring is the smallest n whose prefix [1, n]
-    # holds a monochromatic k-AP; the threshold search brackets it per
-    # sample between miss_to and hit_from, detecting on prefixes through
-    # batch_has_mono_ap.  These check first hits through the kernels on
-    # prefixes of wider rows.
+    # holds a monochromatic k-AP (see TestFirstHits for the kernel that
+    # finds it).  These check first hits through the detection and count
+    # kernels on prefixes of wider rows.
     _random_words = TestBatchKernel._random_words
 
     # van der Waerden numbers W(2; k) (Kouril & Paul, Exp. Math. 2008):
@@ -434,8 +435,8 @@ def _mono_end_range(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 class TestResumedScan:
     # With done, only the k-APs ending past element done are scanned:
-    # exact for rows with no monochromatic k-AP in [1, done], which the
-    # threshold search knows from its earlier points
+    # exact for rows with no monochromatic k-AP in [1, done], which a
+    # caller may know from earlier scans
     _random_words = TestBatchKernel._random_words
 
     @pytest.mark.parametrize("k", range(3, 9))
@@ -478,6 +479,71 @@ class TestResumedScan:
             batch_has_mono_ap(words, 100, 3, done=done)
         with pytest.raises(ValueError):
             _any_mono(_bitsliced(words, 100), 100, 3, 70, done=done)
+
+
+class TestFirstHits:
+    # _first_hits gives each sample the smallest n' <= n with a
+    # monochromatic k-AP in [1, n'], or n + 1; the threshold search keeps
+    # it per sample, so no sample that has hit is detected again
+    _random_words = TestBatchKernel._random_words
+
+    @staticmethod
+    def _first_hits(words, n, k, done=0):
+        return _first_hits(_bitsliced(words, n), n, k, words.shape[0], done=done)
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_matches_naive_oracle(self, k):
+        wide = 300
+        words = self._random_words(100 + k, 70, wide)
+        rows = [int.from_bytes(r.astype("<u8").tobytes(), "little") for r in words]
+        # the first hit on [1, wide] fixes it on every prefix [1, n]
+        first = np.array([naive_first_hit(bits, k, wide) for bits in rows])
+        rng = np.random.default_rng(k)
+        for n in (1, k - 1, 63, 64, 65, 130, wide):
+            prefix = _prefix(words, n)
+            expected = np.minimum(first, n + 1)
+            got = self._first_hits(prefix, n, k)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected), (k, n)
+            # done just below some row's first hit keeps that row on the edge
+            edges = [f - 1 for f in expected.tolist() if f <= n][:3]
+            for done in {0, k - 1, int(rng.integers(n)), n - 1, *edges}:
+                keep = expected > done
+                if done >= n or not keep.any():
+                    continue
+                got = self._first_hits(prefix[keep], n, k, done=done)
+                assert np.array_equal(got, expected[keep]), (k, n, done)
+
+    def test_agrees_with_detection_and_counts(self):
+        k, n = 5, 200
+        words = self._random_words(9, 500, n)
+        first = self._first_hits(words, n, k)
+        assert np.array_equal(first <= n, batch_has_mono_ap(words, n, k))
+        assert np.array_equal(first <= n, batch_count_mono_aps(words, n, k) > 0)
+        for cut in (int(first.min()), int(np.median(first)), n):
+            at_cut = batch_has_mono_ap(_prefix(words, cut), cut, k)
+            assert np.array_equal(first <= cut, at_cut), cut
+
+    def test_hit_ending_at_done_reads_as_no_hit(self):
+        # a row whose monochromatic k-APs all end at one element e: from
+        # done = e on, only later ends are checked, so it reads as no hit
+        k, n = 4, 20
+        words = self._random_words(4, 4096, n)
+        first, last = _mono_end_range(_bits(words, n), k)
+        r = np.flatnonzero((first == last) & (last < n))[0]
+        e = int(first[r])
+        row = words[r : r + 1]
+        assert naive_first_hit(int(row[0, 0]), k, n) == e
+        assert self._first_hits(row, n, k).tolist() == [e]
+        assert self._first_hits(row, n, k, done=e - 1).tolist() == [e]
+        assert self._first_hits(row, n, k, done=e).tolist() == [n + 1]
+        assert self._first_hits(row, n, k, done=n - 1).tolist() == [n + 1]
+
+    @pytest.mark.parametrize("done", [-1, 100, 101])
+    def test_rejects_done_outside_the_row(self, done):
+        words = self._random_words(5, 70, 100)
+        with pytest.raises(ValueError):
+            self._first_hits(words, 100, 3, done=done)
 
 
 class TestBitSliced:

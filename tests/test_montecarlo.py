@@ -391,6 +391,47 @@ class TestThresholdSearch:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_no_sample_is_detected_after_its_first_hit(self, monkeypatch):
+        # every detection reports each sample's exact first hit, so a
+        # sample seen to hit never reaches the kernel again, and points
+        # below the widest one already run detect nothing
+        seed = 3
+        calls = []  # per kernel call: n, the sample ids, their first hits
+        first_hits = montecarlo._first_hits
+
+        def sample_ids(b, n, samples):
+            # each sample's coloring of [1, n], matched to its stream id
+            cols = np.unpackbits(b.view(np.uint8), axis=1, bitorder="little")
+            ids = np.arange(8 * 600, dtype=np.uint64)
+            words = _philox.words(seed, ids, -(-n // 64))
+            rows = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+            index = {r[:n].tobytes(): i for i, r in enumerate(rows)}
+            assert len(index) == ids.size
+            return [index[c.tobytes()] for c in cols.T[:samples]]
+
+        def wrapped(b, n, k, samples, *, done=0):
+            out = first_hits(b, n, k, samples, done=done)
+            calls.append((n, sample_ids(b, n, samples), out.tolist()))
+            return out
+
+        ref = threshold_search(12, 0.5, 600, seed)
+        monkeypatch.setattr(montecarlo, "_first_hits", wrapped)
+        assert threshold_search(12, 0.5, 600, seed) == ref
+        hit_at = {}
+        for n, ids, firsts in calls:
+            assert not hit_at.keys() & set(ids), n
+            hit_at.update((i, f) for i, f in zip(ids, firsts) if f <= n)
+        # every count in the trace is read from the first hits
+        for n, e in ref.trace:
+            assert e.successes == sum(i < e.samples and f <= n for i, f in hit_at.items())
+        assert len(calls) < len(ref.trace) - 5
+
+    def test_pinned_result(self):
+        # how a search detects must never change what it reports
+        res = threshold_search(16, 0.5, 500, 1)
+        assert (res.n_star, res.bracket_low, res.bracket_high) == (1180, 1168, 1180)
+        assert len(res.trace) == 17
+
     def test_trace_records_every_evaluation(self):
         res = threshold_search(3, 0.5, 3000, 17)
         ns = [n for n, _ in res.trace]
