@@ -27,9 +27,10 @@ The exact count distribution reads its histogram from those planes
 directly.  The third sink gives each sample's first hit, the smallest n
 whose prefix [1, n] holds a monochromatic k-AP, which the threshold
 search keeps per sample: the chains of every d are ANDed into one row per
-element at which a k-AP ends, those rows are prefix-ANDed, and the rows
-still set are counted by the same adders.  The kernel's agreement with
-direct scans over element tuples is asserted by the test suite.
+element at which a k-AP ends, and those rows are prefix-ANDed, so each
+sample's rows are set up to its first hit and each bit of that count is
+the parity of a stride of rows.  The kernel's agreement with direct
+scans over element tuples is asserted by the test suite.
 """
 
 from __future__ import annotations
@@ -296,13 +297,7 @@ def _breaks(b: np.ndarray, d: int, k: int, buf: np.ndarray) -> np.ndarray:
 
 
 def _any_mono(
-    b: np.ndarray,
-    n: int,
-    k: int,
-    samples: int,
-    *,
-    done: int = 0,
-    buf: np.ndarray | None = None,
+    b: np.ndarray, n: int, k: int, samples: int, *, buf: np.ndarray | None = None
 ) -> np.ndarray:
     """Per 64-sample group of the element-major ``b``, the bits of those of
     its first ``samples`` samples with a monochromatic k-AP in [1, n].
@@ -311,22 +306,14 @@ def _any_mono(
     padding slots start out set, so they never prolong the scan, and are
     cleared from the result.  Samples that hit early are not dropped from
     the scan: callers whose samples mostly hit early detect on a prefix
-    first (see ``apth.montecarlo``).
-
-    Only the k-APs ending past element ``done`` are checked: for each d
-    the scan starts at row max(0, done - (k-1)d).  That is exact for
-    samples known to have no monochromatic k-AP in [1, done], which the
-    caller must guarantee; 0 <= done < n.  ``buf``, scratch of at least
-    b's shape, may be allocated once by a caller scanning many chunks.
+    first (see ``apth.montecarlo``).  ``buf``, scratch of at least b's
+    shape, may be allocated once by a caller scanning many chunks.
     """
-    if not 0 <= done < n:
-        raise ValueError(f"done must lie in [0, n={n}), got {done}")
     pad = _padding(samples)
     found = pad.copy()
     buf = np.empty_like(b) if buf is None else buf[:, : b.shape[1]]
     for d in range(1, (n - 1) // (k - 1) + 1):
-        start = max(0, done - (k - 1) * d)
-        found |= ~np.bitwise_and.reduce(_breaks(b[start:], d, k, buf), axis=0)
+        found |= ~np.bitwise_and.reduce(_breaks(b, d, k, buf), axis=0)
         if (found == _FULL_WORD).all():
             break
     return found ^ pad
@@ -459,32 +446,35 @@ def _first_hits(
     n' <= n whose prefix [1, n'] holds a monochromatic k-AP, or n + 1 if
     [1, n] holds none, as an int64 vector of the first ``samples``.
 
+    Only the k-APs ending past element ``done`` are checked: for each d
+    the scan starts at row max(0, done - (k-1)d).  That is exact for
+    samples with no monochromatic k-AP in [1, done], which the caller
+    must guarantee; a sample whose only ones end at or before ``done``
+    reads n + 1.  ``ValueError`` unless 0 <= done < n.
+
     The break rows of each d are ANDed into an end-aligned matrix, whose
     row e is clear for a sample once a monochromatic k-AP of it ends at
     element done+e+1.  ANDing each row into all later ones, by doubling,
-    leaves a sample's rows set up to its first hit and clear from there
-    on, so ``_carry_save`` counts the rows before it.  ``done`` is as for
-    ``_any_mono``: only the k-APs ending past it are checked, which is
-    exact for samples with none in [1, done]; 0 <= done < n.
+    leaves a sample's column set on exactly its first c rows, where c is
+    its first hit - done - 1.  Bit j of c is then the parity of its rows
+    (m+1)2^j - 1 for m >= 0, so one XOR reduction gives each bit plane.
     """
     if not 0 <= done < n:
         raise ValueError(f"done must lie in [0, n={n}), got {done}")
-    rows, groups = n - done, b.shape[1]
-    # two spare rows past the ends, for _carry_save
-    ends = np.full((rows + 2, groups), _FULL_WORD)
+    rows = n - done
+    ends = np.full((rows, b.shape[1]), _FULL_WORD)
     buf = np.empty_like(b)
     for d in range(1, (n - 1) // (k - 1) + 1):
         chain = _breaks(b[max(0, done - (k - 1) * d) :], d, k, buf)
-        ends[rows - chain.shape[0] : rows] &= chain
+        ends[rows - chain.shape[0] :] &= chain
     shift = 1
     while shift < rows:
-        np.bitwise_and(ends[shift:rows], ends[: rows - shift], out=ends[shift:rows])
+        np.bitwise_and(ends[shift:], ends[:-shift], out=ends[shift:])
         shift *= 2
-    held = np.empty((rows.bit_length(), 2, groups), dtype=np.uint64)
-    heights = [0] * held.shape[0]
-    spare = np.empty(((rows + 2) // 2 + 2, groups), dtype=np.uint64)
-    _carry_save(ends, rows, held, heights, spare)
-    return done + 1 + _plane_values(_resolve(held, heights), samples)
+    planes = np.empty((rows.bit_length(), b.shape[1]), dtype=np.uint64)
+    for j, plane in enumerate(planes):
+        np.bitwise_xor.reduce(ends[(1 << j) - 1 :: 1 << j], axis=0, out=plane)
+    return done + 1 + _plane_values(planes, samples)
 
 
 def _plane_histogram(planes: np.ndarray, samples: int, top: int) -> np.ndarray:
@@ -515,9 +505,7 @@ def _plane_histogram(planes: np.ndarray, samples: int, top: int) -> np.ndarray:
     return hist
 
 
-def batch_has_mono_ap(
-    words: np.ndarray, n: int, k: int, *, done: int = 0
-) -> np.ndarray:
+def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
     """Vectorized ``has_mono_ap`` over a (rows, words) matrix of colorings.
 
     Row r packs a coloring of [1, n] into ceil(n/64) little-endian words
@@ -525,15 +513,10 @@ def batch_has_mono_ap(
     bit-sliced and scanned on all of [1, n] until all rows have hit; the
     kernel drops no row that hits early, so callers that expect most rows
     to hit early detect on a prefix first (see ``apth.montecarlo``).
-
-    With ``done`` > 0 only the k-APs ending past element ``done`` are
-    checked, which gives the full answer when no row has a monochromatic
-    k-AP in [1, done]; a row whose only one ends there reads as a miss.
-    ``ValueError`` unless 0 <= done < n.
     """
     _check_rows(words, n, k)
     rows = words.shape[0]
-    found = _any_mono(_bitsliced(words, n), n, k, rows, done=done)
+    found = _any_mono(_bitsliced(words, n), n, k, rows)
     return np.unpackbits(found.view(np.uint8), count=rows, bitorder="little").view(bool)
 
 

@@ -276,6 +276,11 @@ def _check_target(target: float) -> None:
         )
 
 
+def _check_ceiling(ceiling: int | None) -> None:
+    if ceiling is not None and ceiling < 1:
+        raise ValueError(f"ceiling must be >= 1, got {ceiling}")
+
+
 def _check_run(samples: int, seed: int, workers: int) -> None:
     """Check the sample count, seed and worker count of a Monte Carlo run."""
     if samples < 1:
@@ -318,12 +323,12 @@ def threshold_search(
     bisects to the stopping width max(1, ceil(0.01 n)).  The scaling
     analysis consumes log2(n_star), so sub-percent precision would be
     wasted sampling.  At the first budget both ends start at
-    max(k, lower_scale/4), and the steps halve lo and double hi.  If the
-    Wilson intervals at both final endpoints still contain the target,
-    the per-point budget is doubled (up to 8x) and the routine restores
-    the bracket in steps of that width before bisecting again.  Coupling
-    of estimates across n (see the module docstring) keeps the invariant
-    exact at each budget.
+    min(max(k, lower_scale/4), ceiling), and the steps halve lo and
+    double hi.  If the Wilson intervals at both final endpoints still
+    contain the target, the per-point budget is doubled (up to 8x) and
+    the routine restores the bracket in steps of that width before
+    bisecting again.  Coupling of estimates across n (see the module
+    docstring) keeps the invariant exact at each budget.
 
     Each sample keeps its exact first hit once a point has seen it hit,
     and otherwise the largest n at which it is known to miss.  A point
@@ -331,9 +336,9 @@ def threshold_search(
     hit and are not known to miss at n, from the smallest of their known
     misses on, and generates only the words past those that earlier
     points kept (see the module docstring).  The trace holds exactly the
-    ``estimate_prob`` results the points would give.  ``ceiling``
-    defaults to ``_max_n()``, the widest coloring a generation buffer
-    holds.
+    ``estimate_prob`` results the points would give.  ``ceiling``, at
+    least 1, defaults to ``_max_n()``, the widest coloring a generation
+    buffer holds.
 
     Every point runs on one pool of ``workers`` threads; results never
     depend on ``workers``.
@@ -341,6 +346,7 @@ def threshold_search(
     _check_k(k)
     _check_target(target)
     _check_run(samples, seed, workers)
+    _check_ceiling(ceiling)
     with _runner(workers) as run:
         return _search(k, target, samples, seed, run, ceiling)
 
@@ -382,24 +388,21 @@ def _search(
         store = grown
 
     def colorings(n: int, rows: np.ndarray) -> np.ndarray:
-        """``_colorings`` of the samples ``rows``: each sample's stored
-        words, then one Philox call per distinct stored length for the
-        tail, whose stored columns are kept."""
+        """``_colorings`` of the samples ``rows``: their stored words up to
+        the smallest stored length, then one Philox call for the rest,
+        whose stored columns are kept.  The undecided samples of a point
+        share one stored length, as ``grow`` trims the store to the
+        bracket's hi, so no word is generated twice."""
         nw = _word_count(n)
+        h = min(nw, int(have[rows].min()))
         words = np.empty((rows.size, nw), dtype=np.uint64)
-        cached = np.minimum(have[rows], nw)
-        # np.unique would import numpy.ma, 1.7 MB of resident memory
-        for h in np.flatnonzero(np.bincount(cached)).tolist():
-            at = np.flatnonzero(cached == h)
-            ids = rows[at]
-            words[at, :h] = store[ids, :h]
-            if h < nw:
-                tail = _philox.words(seed, ids.astype(np.uint64), nw - h, first_word=h)
-                words[at, h:] = tail
-                kept = min(nw, store.shape[1])
-                if kept > h:
-                    store[ids, h:kept] = tail[:, : kept - h]
-                    have[ids] = kept
+        words[:, :h] = store[rows, :h]
+        if h < nw:
+            words[:, h:] = _philox.words(seed, rows.astype(np.uint64), nw - h, first_word=h)
+            kept = min(nw, store.shape[1])
+            if kept > h:
+                store[rows, h:kept] = words[:, h:kept]
+                have[rows] = kept
         words[:, -1] &= _pad_mask(n)
         return words
 
@@ -460,7 +463,7 @@ def _search(
         return lo, hi
 
     m = samples
-    n0 = max(k, threshold_scale_lower(k, 1.0) // 4)
+    n0 = min(max(k, threshold_scale_lower(k, 1.0) // 4), ceiling)
     grow(m, n0)
     lo, hi = bracket(n0, n0, m, lambda n: n // 2, lambda n: 2 * n)
     while m < 8 * samples and undecided(lo, m) and undecided(hi, m):
@@ -511,6 +514,7 @@ def scaling_report(
         )
     _check_target(target)
     _check_run(samples, seed, workers)
+    _check_ceiling(ceiling)
     rows = []
     with _runner(workers) as run:
         n_stars = [

@@ -141,7 +141,7 @@ def estimate_driven_search(k, target, samples, seed, workers=1,
         return lo, hi
 
     m = samples
-    n0 = max(k, threshold_scale_lower(k, 1.0) // 4)
+    n0 = min(max(k, threshold_scale_lower(k, 1.0) // 4), ceiling)
     if p_hat(n0, m) >= target:
         # already supercritical at the starting point: walk down
         hi = n0

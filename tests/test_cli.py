@@ -221,6 +221,15 @@ class TestSweepAndReport:
         assert code == 4
         assert err.startswith("error: 4:")
 
+    @pytest.mark.parametrize("cmd", [["sweep", "--k", "3"],
+                                     ["report", "--k-low", "3", "--k-high", "4"]])
+    @pytest.mark.parametrize("ceiling", ["0", "-1"])
+    def test_ceiling_below_one_is_a_usage_error(self, capsys, cmd, ceiling):
+        code, out, err = run(capsys, *cmd, "--samples", "200",
+                             "--ceiling", ceiling)
+        assert code == 2 and out == ""
+        assert err.startswith("error: 2:")
+
     def test_default_ceiling_stops_before_row_limit(self, capsys, monkeypatch):
         # a 4-word budget stands in for the 2^18-word one: without --ceiling
         # a runaway search reports the ceiling (4), not a row too wide (2)

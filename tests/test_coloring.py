@@ -433,54 +433,6 @@ def _mono_end_range(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return first, last
 
 
-class TestResumedScan:
-    # With done, only the k-APs ending past element done are scanned:
-    # exact for rows with no monochromatic k-AP in [1, done], which a
-    # caller may know from earlier scans
-    _random_words = TestBatchKernel._random_words
-
-    @pytest.mark.parametrize("k", range(3, 9))
-    @pytest.mark.parametrize("n", [64, 65, 130, 300])
-    def test_matches_full_scan_on_rows_missing_to_done(self, k, n):
-        words = self._random_words(1000 * k + n, 256, n)
-        bits = _bits(words, n)
-        first, _ = _mono_end_range(bits, k)
-        full = _scan_has_mono(bits, k)
-        assert np.array_equal(full, first <= n)
-        rng = np.random.default_rng(n * k)
-        # done just below some row's first hit keeps that row on the edge
-        edges = [f - 1 for f in first.tolist() if f <= n][:3]
-        for done in {0, k - 1, int(rng.integers(n)), n - 1, *edges}:
-            rows = first > done
-            if not rows.any():
-                continue
-            got = batch_has_mono_ap(words[rows], n, k, done=done)
-            assert np.array_equal(got, full[rows]), (k, n, done)
-
-    def test_hit_ending_at_done_reads_as_miss(self):
-        # the precondition is a contract: a row whose only monochromatic
-        # k-APs end at or before done is reported as a miss
-        k, n = 4, 20
-        words = self._random_words(4, 4096, n)
-        first, last = _mono_end_range(_bits(words, n), k)
-        r = np.flatnonzero((first <= n) & (last < n - 1))[0]
-        last = int(last[r])
-        row = words[r : r + 1]
-        assert naive_has_mono(int(row[0, 0]), k, n)
-        assert batch_has_mono_ap(row, n, k).tolist() == [True]
-        assert batch_has_mono_ap(row, n, k, done=last - 1).tolist() == [True]
-        assert batch_has_mono_ap(row, n, k, done=last).tolist() == [False]
-        assert batch_has_mono_ap(row, n, k, done=n - 1).tolist() == [False]
-
-    @pytest.mark.parametrize("done", [-1, 100, 101])
-    def test_rejects_done_outside_the_row(self, done):
-        words = self._random_words(5, 70, 100)
-        with pytest.raises(ValueError):
-            batch_has_mono_ap(words, 100, 3, done=done)
-        with pytest.raises(ValueError):
-            _any_mono(_bitsliced(words, 100), 100, 3, 70, done=done)
-
-
 class TestFirstHits:
     # _first_hits gives each sample the smallest n' <= n with a
     # monochromatic k-AP in [1, n'], or n + 1; the threshold search keeps
@@ -499,7 +451,8 @@ class TestFirstHits:
         # the first hit on [1, wide] fixes it on every prefix [1, n]
         first = np.array([naive_first_hit(bits, k, wide) for bits in rows])
         rng = np.random.default_rng(k)
-        for n in (1, k - 1, 63, 64, 65, 130, wide):
+        # 127..129 and 256, 257 put n - done on both sides of powers of two
+        for n in (1, k - 1, 63, 64, 65, 127, 128, 129, 130, 256, 257, wide):
             prefix = _prefix(words, n)
             expected = np.minimum(first, n + 1)
             got = self._first_hits(prefix, n, k)

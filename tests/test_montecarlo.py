@@ -297,6 +297,22 @@ class TestThresholdSearch:
         res = threshold_search(5, 0.5, 300, 4, ceiling=15)
         assert res == estimate_driven_search(5, 0.5, 300, 4, ceiling=15)
         assert res.n_star == 15
+        # at k = 3 the search starts at n = 3, where p_hat passes 0.05, so
+        # a ceiling of 2 must start it at 2, which never reaches the target
+        with pytest.raises(SearchCeilingError):
+            threshold_search(3, 0.05, 200, 1, ceiling=2)
+        with pytest.raises(SearchCeilingError):
+            estimate_driven_search(3, 0.05, 200, 1, ceiling=2)
+        res = threshold_search(3, 0.05, 200, 1, ceiling=3)
+        assert res == estimate_driven_search(3, 0.05, 200, 1, ceiling=3)
+        assert res.n_star == 3
+
+    @pytest.mark.parametrize("ceiling", [0, -1])
+    def test_rejects_ceiling_below_one(self, ceiling):
+        with pytest.raises(ValueError):
+            threshold_search(3, 0.05, 200, 1, ceiling=ceiling)
+        with pytest.raises(ValueError):
+            scaling_report(3, 4, 0.5, 200, 1, ceiling=ceiling)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("target", [0.05, 0.5, 0.95])
@@ -342,9 +358,11 @@ class TestThresholdSearch:
         # midpoint) generates nothing
         generated = []  # per point: the (stream, word) pairs generated
         pending = []
+        calls = []
         words, from_counts = _philox.words, ProbEstimate.from_counts.__func__
 
         def counted_words(seed, ids, nwords, first_word=0):
+            calls.append(len(ids) * nwords)
             pending.extend(
                 (int(i), j) for i in ids for j in range(first_word, first_word + nwords)
             )
@@ -361,6 +379,8 @@ class TestThresholdSearch:
         assert threshold_search(12, 0.5, 600, 3) == ref
         pairs = [p for point in generated for p in point]
         assert len(pairs) == len(set(pairs))
+        # in 7 Philox calls of 20,107 words in all
+        assert (len(calls), sum(calls)) == (7, 20107)
         below = [
             i for i, (n, e) in enumerate(ref.trace)
             if any(e2.samples == e.samples and n2 > n for n2, e2 in ref.trace[:i])
