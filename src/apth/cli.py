@@ -8,16 +8,20 @@ Subcommands map one-to-one onto library operations and emit CSV or JSON
 * 3 exact-enumeration cap exceeded
 * 4 threshold search ceiling exceeded
 
-Errors print a single machine-parsable line ``error: <code>: <message>``
-to stderr.  Identical invocations (same flags, same seed) produce
-byte-identical output.
+The library validates every argument and names the parameter and the
+value it got; the CLI checks only what the library cannot know (``bounds``
+needs ``--f`` or ``--g``, and a threshold scale must fit the n cap) and
+maps exceptions to exit codes.  Each record is read off the dataclass the
+library returns, in its field order.  Errors print a single
+machine-parsable line ``error: <code>: <message>`` to stderr.  Identical
+invocations (same flags, same seed) produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import sys
 from typing import Iterable, Iterator, Sequence
@@ -41,8 +45,8 @@ from .family import (
     large_diff_family_size,
 )
 from .montecarlo import (
-    ProbEstimate,
     ScalingReport,
+    ScalingRow,
     ThresholdResult,
     estimate_prob,
     scaling_report,
@@ -91,6 +95,15 @@ def _record(fields: dict, fmt: str) -> str:
     if fmt == "json":
         return _jdump(fields)
     return _csv(list(fields), [tuple(fields.values())])
+
+
+def _fields_without(obj, name: str) -> dict:
+    """The fields of dataclass ``obj`` in their order, less field ``name``."""
+    return {
+        f.name: getattr(obj, f.name)
+        for f in dataclasses.fields(obj)
+        if f.name != name
+    }
 
 
 def _field(text: str):
@@ -159,53 +172,24 @@ def emit_dist(dist, fmt: str) -> str:
     return _csv(["r", "count", "probability"], rows)
 
 
-def _estimate_fields(est: ProbEstimate) -> dict:
-    return {
-        "k": est.k,
-        "n": est.n,
-        "samples": est.samples,
-        "successes": est.successes,
-        "p_hat": est.p_hat,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "seed": est.seed,
-    }
-
-
 def emit_sweep(res: ThresholdResult) -> str:
     return _jdump(
         {
-            "k": res.k,
-            "target": res.target,
-            "n_star": res.n_star,
-            "bracket_low": res.bracket_low,
-            "bracket_high": res.bracket_high,
-            "samples_per_point": res.samples_per_point,
-            "seed": res.seed,
+            **_fields_without(res, "trace"),
             "version": __version__,
             "trace": [
-                {"n": n, **_estimate_fields(est)} for n, est in res.trace
+                {"n": n, **dataclasses.asdict(est)} for n, est in res.trace
             ],
         }
     )
 
 
-_REPORT_COLUMNS = ["k", "n_star", "log2_n_star", "ratio_sqrt", "ratio_3half"]
+_REPORT_COLUMNS = [f.name for f in dataclasses.fields(ScalingRow)]
 
 
 def emit_report(rep: ScalingReport, fmt: str) -> str:
-    meta = {
-        "slope": rep.slope,
-        "n_star_increasing": rep.n_star_increasing,
-        "target": rep.target,
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "version": __version__,
-    }
-    rows = [
-        (r.k, r.n_star, r.log2_n_star, r.ratio_sqrt, r.ratio_3half)
-        for r in rep.rows
-    ]
+    meta = {**_fields_without(rep, "rows"), "version": __version__}
+    rows = [dataclasses.astuple(r) for r in rep.rows]
     if fmt == "json":
         return _jdump(
             {
@@ -350,28 +334,13 @@ def _require(cond: bool, message: str) -> None:
 def _dispatch(args) -> str:
     sc = args.subcommand
 
-    if sc in {"count", "enumerate", "family", "greedy", "exact", "dist",
-              "bounds", "simulate"}:
-        _require(args.k >= 3, "--k must be >= 3")
-    if sc in {"count", "enumerate", "family", "greedy", "exact", "dist",
-              "simulate"}:
-        _require(args.n >= 1, "--n must be >= 1")
-
     if sc == "count":
         count = count_aps(args.k, args.n)
         return _record({"k": args.k, "n": args.n, "count": count}, args.format)
 
     if sc == "enumerate":
-        if args.dmin is None and args.dmax is None:
-            diff_range = None
-        else:
-            d_cap = (args.n - 1) // (args.k - 1) if args.n >= args.k else 0
-            diff_range = (
-                args.dmin if args.dmin is not None else 1,
-                args.dmax if args.dmax is not None else d_cap,
-            )
         return stream_family(
-            enumerate_aps(args.k, args.n, diff_range), args.format
+            enumerate_aps(args.k, args.n, (args.dmin, args.dmax)), args.format
         )
 
     if sc == "family":
@@ -419,16 +388,11 @@ def _dispatch(args) -> str:
             return scale
 
         if args.f is not None:
-            _require(1 <= args.f < math.inf, "--f must be finite and >= 1")
             scale = threshold_scale_upper(args.k, args.f)
             rep = p0_upper_blocks(args.k, at(scale), args.f)
             obj["n_upper_scale"] = scale
-            obj["p0_upper"] = {
-                "n": rep.n, "f": rep.f, "q": rep.q, "s": rep.s, "r": rep.r,
-                "value": rep.value, "flags": rep.flags,
-            }
+            obj["p0_upper"] = _fields_without(rep, "k")
         if args.g is not None:
-            _require(0 < args.g <= 1, "--g must be in (0, 1]")
             scale = threshold_scale_lower(args.k, args.g)
             n = at(scale)
             obj["n_lower_scale"] = scale
@@ -442,26 +406,17 @@ def _dispatch(args) -> str:
         return _record(obj, args.format)
 
     if sc == "simulate":
-        _require(args.samples >= 1, "--samples must be >= 1")
-        _require(args.workers >= 1, "--workers must be >= 1")
         est = estimate_prob(args.k, args.n, args.samples, args.seed, args.workers)
-        fields = {**_estimate_fields(est), "version": __version__}
+        fields = {**dataclasses.asdict(est), "version": __version__}
         return _record(fields, args.format)
 
     if sc == "sweep":
-        _require(args.k >= 3, "--k must be >= 3")
-        _require(0.05 <= args.target <= 0.95, "--target must be in [0.05, 0.95]")
-        _require(args.samples >= 1, "--samples must be >= 1")
         res = threshold_search(
             args.k, args.target, args.samples, args.seed, args.workers, args.ceiling
         )
         return emit_sweep(res)
 
     if sc == "report":
-        _require(args.k_low >= 3, "--k-low must be >= 3")
-        _require(args.k_high >= args.k_low, "--k-high must be >= --k-low")
-        _require(0.05 <= args.target <= 0.95, "--target must be in [0.05, 0.95]")
-        _require(args.samples >= 1, "--samples must be >= 1")
         rep = scaling_report(
             args.k_low, args.k_high, args.target, args.samples, args.seed,
             args.workers, args.ceiling, args.k_budget,

@@ -175,11 +175,13 @@ def _row(c: Coloring) -> np.ndarray:
 
 def has_mono_ap(c: Coloring, k: int) -> bool:
     """True iff some k-AP in [1, c.n] is monochromatic under ``c``."""
+    _check_matrix(c.n, 1)
     return bool(batch_has_mono_ap(_row(c), c.n, k)[0])
 
 
 def count_mono_aps(c: Coloring, k: int) -> int:
     """Exact number of monochromatic k-APs in [1, c.n] under ``c``."""
+    _check_matrix(c.n, 1)
     return int(batch_count_mono_aps(_row(c), c.n, k)[0])
 
 
@@ -223,14 +225,32 @@ _TRANSPOSE8 = tuple(
 )
 
 
+#: Words of the element-major matrix one direct detection call may build
+#: (128 MB; the kernel's scratch takes as much again).  One coloring at the
+#: Monte Carlo row limit, 64 * 2^18 elements, fills it exactly.
+_MATRIX_WORDS = 1 << 24
+
+
+def _check_matrix(n: int, rows: int) -> None:
+    """Refuse a detection whose (n, ceil(rows/64)) matrix passes the budget."""
+    words = n * -(-rows // WORD_BITS)
+    if words > _MATRIX_WORDS:
+        raise ValueError(
+            f"detection on {rows} colorings of [1, {n}] needs a {words}-word "
+            f"matrix, above the {_MATRIX_WORDS}-word budget"
+        )
+
+
 def _check_rows(words: np.ndarray, n: int, k: int) -> None:
-    """Check that ``words`` packs colorings of [1, n] for k-AP detection."""
+    """Check that ``words`` packs colorings of [1, n] for k-AP detection,
+    within the matrix budget."""
     _check_k(k)
     _check_n(n)
     if words.ndim != 2 or words.shape[1] != _word_count(n):
         raise ValueError(
             f"expected a (rows, {_word_count(n)}) matrix of words for n={n}"
         )
+    _check_matrix(n, words.shape[0])
 
 
 def _bitsliced(words: np.ndarray, n: int) -> np.ndarray:

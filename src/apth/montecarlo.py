@@ -171,7 +171,10 @@ def standard_error(p: float, samples: int) -> float:
 
 @dataclass(frozen=True)
 class ProbEstimate:
-    """Monte Carlo estimate of P(mono k-AP) with its 95% interval."""
+    """Monte Carlo estimate of P(mono k-AP) with its 95% interval.
+
+    The field order is the order of the CLI's ``simulate`` record and of
+    each ``sweep`` trace entry."""
 
     k: int
     n: int
@@ -209,6 +212,7 @@ class ThresholdResult:
     ``n_star`` is the smallest sampled n whose estimate reached the target;
     the estimate at ``bracket_low`` (the final step below n_star) stayed
     under it.  ``trace`` lists every (n, estimate) evaluated, in order.
+    The field order is the order of the CLI's ``sweep`` record.
     """
 
     k: int
@@ -223,6 +227,9 @@ class ThresholdResult:
 
 @dataclass(frozen=True)
 class ScalingRow:
+    """One k of a scaling report; the field order is the order of the
+    CLI's ``report`` columns."""
+
     k: int
     n_star: int
     log2_n_star: float
@@ -234,7 +241,10 @@ class ScalingRow:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Threshold locations across k with the fitted log2(n_star) slope."""
+    """Threshold locations across k with the fitted log2(n_star) slope.
+
+    The field order less ``rows`` is the order of the CLI's ``report``
+    metadata."""
 
     rows: tuple[ScalingRow, ...]
     slope: float

@@ -167,7 +167,10 @@ class BonferroniBound(NamedTuple):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bound value plus the geometry and validity flags behind it."""
+    """A bound value plus the geometry and validity flags behind it.
+
+    The field order less ``k`` is the order of the CLI's ``p0_upper``
+    record."""
 
     k: int
     n: int

@@ -80,25 +80,25 @@ def count_aps(k: int, n: int) -> int:
 
 
 def enumerate_aps(
-    k: int, n: int, diff_range: tuple[int, int] | None = None
+    k: int, n: int, diff_range: tuple[int | None, int | None] | None = None
 ) -> Iterator[Progression]:
     """Every k-AP contained in [1, n], ordered by (diff, start).
 
-    ``diff_range=(lo, hi)`` restricts to common differences in [lo, hi];
-    when given it must be a subinterval of [1, floor((n-1)/(k-1))].
-    Arguments are validated eagerly (before the first item is produced).
+    ``diff_range=(lo, hi)`` restricts to common differences in [lo, hi],
+    a subinterval of [1, floor((n-1)/(k-1))]; an end given as None is left
+    open, and (None, None) restricts nothing.  Arguments are validated
+    eagerly (before the first item is produced).
     """
     _check_k(k)
     _check_n(n)
     d_cap = (n - 1) // (k - 1) if n >= k else 0
-    if diff_range is None:
-        d_lo, d_hi = 1, d_cap
-    else:
-        d_lo, d_hi = diff_range
-        if not (1 <= d_lo <= d_hi <= d_cap):
-            raise ValueError(
-                f"diff_range {diff_range} is not a subinterval of [1, {d_cap}]"
-            )
+    lo, hi = diff_range or (None, None)
+    d_lo = 1 if lo is None else lo
+    d_hi = d_cap if hi is None else hi
+    if (lo, hi) != (None, None) and not 1 <= d_lo <= d_hi <= d_cap:
+        raise ValueError(
+            f"diff_range {(d_lo, d_hi)} is not a subinterval of [1, {d_cap}]"
+        )
 
     def generate() -> Iterator[Progression]:
         for d in range(d_lo, d_hi + 1):

@@ -316,7 +316,7 @@ class TestErrorDiscipline:
         code, out, err = run(capsys, "count", "--k", "2", "--n", "5")
         assert code == 2
         assert out == ""
-        assert err == "error: 2: --k must be >= 3\n"
+        assert err == "error: 2: progression length k must be >= 3, got 2\n"
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -327,7 +327,7 @@ class TestErrorDiscipline:
     def test_negative_samples(self, capsys):
         code, _, err = run(capsys, "simulate", "--k", "3", "--n", "5",
                            "--samples", "-4")
-        assert code == 2 and "--samples" in err
+        assert code == 2 and "samples must be >= 1, got -4" in err
 
     def test_row_beyond_buffer_is_usage_error(self, capsys, monkeypatch):
         # a 4-word budget stands in for an n too wide for the real one
@@ -336,6 +336,99 @@ class TestErrorDiscipline:
                              "--samples", "10")
         assert code == 2 and out == ""
         assert "generation buffer" in err
+
+
+@pytest.mark.parametrize(
+    "cmd, says",
+    [
+        *[
+            (f"{sc} {bad}", says)
+            for sc in ("count", "enumerate", "family", "greedy", "exact",
+                       "dist", "simulate")
+            for bad, says in (("--k 2 --n 5", "k must be >= 3, got 2"),
+                              ("--k 3 --n 0", "n must be >= 1, got 0"))
+        ],
+        ("bounds --k 2 --f 2", "k must be >= 3, got 2"),
+        ("bounds --k 2 --g 0.5", "k must be >= 3, got 2"),
+        ("bounds --k 3 --f 0.5", "f must be finite and >= 1, got 0.5"),
+        ("bounds --k 3 --f nan", "f must be finite and >= 1, got nan"),
+        ("bounds --k 3 --f inf", "f must be finite and >= 1, got inf"),
+        ("bounds --k 3 --g 0", "g must be in (0, 1], got 0.0"),
+        ("bounds --k 3 --g 1.5", "g must be in (0, 1], got 1.5"),
+        ("bounds --k 3 --g nan", "g must be in (0, 1], got nan"),
+        ("simulate --k 3 --n 5 --samples 0", "samples must be >= 1, got 0"),
+        ("simulate --k 3 --n 5 --workers 0", "workers must be >= 1, got 0"),
+        ("sweep --k 2", "k must be >= 3, got 2"),
+        ("sweep --k 3 --target 0.01", "target must lie in [0.05, 0.95], got 0.01"),
+        ("sweep --k 3 --samples 0", "samples must be >= 1, got 0"),
+        ("report --k-low 2 --k-high 4", "k must be >= 3, got 2"),
+        ("report --k-low 5 --k-high 4", "need k_low <= k_high, got [5, 4]"),
+        ("report --k-low 3 --k-high 4 --target 0.99",
+         "target must lie in [0.05, 0.95], got 0.99"),
+        ("report --k-low 3 --k-high 4 --samples 0", "samples must be >= 1, got 0"),
+        ("enumerate --k 1 --n 5 --dmin 1", "k must be >= 3, got 1"),
+        # the open end is named as resolved
+        ("enumerate --k 3 --n 2 --dmin 1",
+         "diff_range (1, 0) is not a subinterval of [1, 0]"),
+    ],
+)
+def test_bad_argument_exits_2_in_one_line(capsys, cmd, says):
+    # the library checks every argument; its message names the parameter
+    # and the value it got
+    code, out, err = run(capsys, *cmd.split())
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: 2: ")
+    assert says in err
+
+
+def test_enumerate_with_no_ap_prints_header(capsys):
+    code, out, err = run(capsys, "enumerate", "--k", "3", "--n", "2")
+    assert (code, out, err) == (0, "start,diff,k\n", "")
+
+
+_ESTIMATE_KEYS = ["k", "n", "samples", "successes", "p_hat", "ci_low",
+                  "ci_high", "seed"]
+_ROW_KEYS = ["k", "n_star", "log2_n_star", "ratio_sqrt", "ratio_3half"]
+_META_KEYS = ["slope", "n_star_increasing", "target", "samples", "seed",
+              "version"]
+
+
+class TestKeyOrder:
+    # records follow the field order of the library's dataclasses, so
+    # reordering a field must fail here
+
+    def test_simulate(self, capsys):
+        argv = ("simulate", "--k", "3", "--n", "5", "--samples", "50")
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        assert out.splitlines()[0].split(",") == [*_ESTIMATE_KEYS, "version"]
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        assert list(json.loads(out)) == [*_ESTIMATE_KEYS, "version"]
+
+    def test_sweep(self, capsys):
+        _, out, _ = run(capsys, "sweep", "--k", "3", "--samples", "200")
+        obj = json.loads(out)
+        assert list(obj) == ["k", "target", "n_star", "bracket_low",
+                             "bracket_high", "samples_per_point", "seed",
+                             "version", "trace"]
+        # "n" leads, and the estimate's own n keeps that place
+        assert list(obj["trace"][0]) == ["n", "k", "samples", "successes",
+                                         "p_hat", "ci_low", "ci_high", "seed"]
+
+    def test_report(self, capsys):
+        argv = ("report", "--k-low", "3", "--k-high", "4", "--samples", "200")
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        header, *_, meta = out.splitlines()
+        assert header.split(",") == _ROW_KEYS
+        assert list(json.loads(meta)) == _META_KEYS
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        obj = json.loads(out)
+        assert list(obj) == ["rows", *_META_KEYS]
+        assert all(list(row) == _ROW_KEYS for row in obj["rows"])
+
+    def test_bounds_block_bound(self, capsys):
+        _, out, _ = run(capsys, "bounds", "--k", "12", "--f", "2")
+        assert list(json.loads(out)["p0_upper"]) == ["n", "f", "q", "s", "r",
+                                                      "value", "flags"]
 
 
 class TestOutFile:

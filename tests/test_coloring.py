@@ -1,11 +1,12 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apth import _philox, coloring, probability
+from apth import _philox, coloring, montecarlo, probability
 from apth.coloring import (
     Coloring,
     RandomStream,
@@ -337,6 +338,49 @@ class TestBatchKernel:
                 batch_has_mono_ap(bad, 200, 3)
             with pytest.raises(ValueError):
                 batch_count_mono_aps(bad, 200, 3)
+
+
+def _peak(fn) -> int:
+    """The peak bytes Python allocates while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _refused(fn, *args):
+    with pytest.raises(ValueError, match="budget"):
+        fn(*args)
+
+
+class TestMatrixBudget:
+    def test_scalar_call_refuses_before_building_its_row(self):
+        # the row of n = 2^40 alone would take 128 GB
+        c = Coloring(1 << 40, 0)
+        for fn in (has_mono_ap, count_mono_aps):
+            assert _peak(lambda: _refused(fn, c, 3)) < 1 << 20
+
+    def test_batch_past_the_budget_refuses(self):
+        # 65 colorings of [1, 2^24] take two 64-sample groups: 2^25 words;
+        # a broadcast view stands in for the rows without allocating them
+        words = np.broadcast_to(np.uint64(0), (65, 1 << 18))
+        for fn in (batch_has_mono_ap, batch_count_mono_aps):
+            assert _peak(lambda: _refused(fn, words, 1 << 24, 3)) < 1 << 20
+
+    def test_budget_admits_one_coloring_at_the_row_limit(self):
+        assert coloring._MATRIX_WORDS == montecarlo._max_n()
+        at_limit = np.broadcast_to(np.uint64(0), (64, 1 << 18))
+        assert _peak(lambda: coloring._check_rows(at_limit, 1 << 24, 3)) < 1 << 20
+        _refused(coloring._check_matrix, (1 << 24) + 1, 1)
+        _refused(coloring._check_matrix, 1 << 24, 65)
+
+    def test_monte_carlo_batches_fit_the_budget(self):
+        # a generation buffer of rows of w words, bit-sliced, fits the budget
+        for w in [*range(1, 1 << 18, 97), 1 << 18]:
+            rows = montecarlo._chunk_size(w)
+            assert 64 * w * -(-rows // 64) <= coloring._MATRIX_WORDS, w
 
 
 def _prefix(words: np.ndarray, n: int) -> np.ndarray:

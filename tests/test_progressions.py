@@ -104,6 +104,14 @@ class TestEnumerateAps:
         with pytest.raises(ValueError):
             list(enumerate_aps(3, 5, rng))
 
+    def test_open_ends_of_diff_range(self):
+        # None leaves an end open; both open is no restriction at all
+        assert list(enumerate_aps(3, 7, (2, None))) == list(enumerate_aps(3, 7, (2, 3)))
+        assert list(enumerate_aps(3, 7, (None, 1))) == list(enumerate_aps(3, 7, (1, 1)))
+        assert list(enumerate_aps(3, 2, (None, None))) == []
+        with pytest.raises(ValueError, match=r"\(1, 0\)"):
+            enumerate_aps(3, 2, (1, None))
+
     def test_count_matches_for_full_range(self):
         # closed form vs generator length over the whole contract range
         for k in range(3, 9):
