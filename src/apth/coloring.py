@@ -52,12 +52,6 @@ def _word_count(n: int) -> int:
     return -(-n // WORD_BITS)
 
 
-def _pad_mask(n: int) -> np.uint64:
-    """Mask of the significant bits of the top word of an n-bit vector."""
-    top = n - (_word_count(n) - 1) * WORD_BITS
-    return _FULL_WORD if top == WORD_BITS else np.uint64((1 << top) - 1)
-
-
 @dataclass(frozen=True)
 class Coloring:
     """A 2-coloring of [1, n]: bit i-1 of ``bits`` is 1 iff element i is red."""
@@ -86,6 +80,7 @@ class Coloring:
 
     def to01(self) -> str:
         """Serialize as a 0/1 string, element 1 first."""
+        _check_output(f"the 0/1 string of [1, {self.n}]", -(-self.n // 8))
         raw = np.frombuffer(self.bits.to_bytes(-(-self.n // 8), "little"), np.uint8)
         digits = np.unpackbits(raw, count=self.n, bitorder="little") | ord("0")
         return digits.tobytes().decode("ascii")
@@ -106,6 +101,7 @@ class Coloring:
 
     def words(self) -> list[int]:
         """Little-endian 64-bit words (word 0 holds elements 1..64)."""
+        _check_output(f"the word list of [1, {self.n}]", _word_count(self.n))
         return _row(self)[0].tolist()
 
     def hex_words(self) -> list[str]:
@@ -241,6 +237,12 @@ def _check_matrix(n: int, rows: int) -> None:
         )
 
 
+def _check_output(what: str, words: int) -> None:
+    """Refuse an output of more words than a detection matrix may take."""
+    if words > _MATRIX_WORDS:
+        raise ValueError(f"{what}, {words} words, passes the {_MATRIX_WORDS}-word budget")
+
+
 def _check_rows(words: np.ndarray, n: int, k: int) -> None:
     """Check that ``words`` packs colorings of [1, n] for k-AP detection,
     within the matrix budget."""
@@ -316,9 +318,7 @@ def _breaks(b: np.ndarray, d: int, k: int, buf: np.ndarray) -> np.ndarray:
     return chain[:size]
 
 
-def _any_mono(
-    b: np.ndarray, n: int, k: int, samples: int, *, buf: np.ndarray | None = None
-) -> np.ndarray:
+def _any_mono(b: np.ndarray, n: int, k: int, samples: int) -> np.ndarray:
     """Per 64-sample group of the element-major ``b``, the bits of those of
     its first ``samples`` samples with a monochromatic k-AP in [1, n].
 
@@ -326,12 +326,11 @@ def _any_mono(
     padding slots start out set, so they never prolong the scan, and are
     cleared from the result.  Samples that hit early are not dropped from
     the scan: callers whose samples mostly hit early detect on a prefix
-    first (see ``apth.montecarlo``).  ``buf``, scratch of at least b's
-    shape, may be allocated once by a caller scanning many chunks.
+    first (see ``apth.montecarlo``).
     """
     pad = _padding(samples)
     found = pad.copy()
-    buf = np.empty_like(b) if buf is None else buf[:, : b.shape[1]]
+    buf = np.empty_like(b)
     for d in range(1, (n - 1) // (k - 1) + 1):
         found |= ~np.bitwise_and.reduce(_breaks(b, d, k, buf), axis=0)
         if (found == _FULL_WORD).all():
@@ -528,8 +527,8 @@ def _plane_histogram(planes: np.ndarray, samples: int, top: int) -> np.ndarray:
 def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
     """Vectorized ``has_mono_ap`` over a (rows, words) matrix of colorings.
 
-    Row r packs a coloring of [1, n] into ceil(n/64) little-endian words
-    with zero padding above n.  Returns a boolean vector.  Every row is
+    Row r packs a coloring of [1, n] into ceil(n/64) little-endian words;
+    bits above n are ignored.  Returns a boolean vector.  Every row is
     bit-sliced and scanned on all of [1, n] until all rows have hit; the
     kernel drops no row that hits early, so callers that expect most rows
     to hit early detect on a prefix first (see ``apth.montecarlo``).
@@ -542,8 +541,8 @@ def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
 
 def batch_count_mono_aps(words: np.ndarray, n: int, k: int) -> np.ndarray:
     """Vectorized ``count_mono_aps``: per row of a (rows, words) matrix laid
-    out as for ``batch_has_mono_ap``, the number of monochromatic k-APs in
-    [1, n], as an int64 vector."""
+    out as for ``batch_has_mono_ap`` (bits above n are ignored), the number
+    of monochromatic k-APs in [1, n], as an int64 vector."""
     _check_rows(words, n, k)
     planes = _mono_counts(_bitsliced(words, n), n, k)
     return _plane_values(planes, words.shape[0])

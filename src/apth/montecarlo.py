@@ -46,7 +46,6 @@ from .coloring import (
     WORD_BITS,
     _bitsliced,
     _first_hits,
-    _pad_mask,
     _word_count,
     batch_has_mono_ap,
 )
@@ -257,9 +256,7 @@ class ScalingReport:
 
 def _colorings(seed: int, ids: np.ndarray, n: int) -> np.ndarray:
     """Packed colorings of [1, n] drawn from streams (seed, i), i in ids."""
-    words = _philox.words(seed, ids, _word_count(n))
-    words[:, -1] &= _pad_mask(n)
-    return words
+    return _philox.words(seed, ids, _word_count(n))
 
 
 def _hits(k: int, n: int, seed: int, ids: np.ndarray) -> np.ndarray:
@@ -398,11 +395,11 @@ def _search(
         store = grown
 
     def colorings(n: int, rows: np.ndarray) -> np.ndarray:
-        """``_colorings`` of the samples ``rows``: their stored words up to
-        the smallest stored length, then one Philox call for the rest,
-        whose stored columns are kept.  The undecided samples of a point
-        share one stored length, as ``grow`` trims the store to the
-        bracket's hi, so no word is generated twice."""
+        """``_colorings`` of the samples ``rows``, bits above n as drawn:
+        their stored words up to the smallest stored length, then one
+        Philox call for the rest, whose stored columns are kept.  The
+        undecided samples of a point share one stored length, as ``grow``
+        trims the store to the bracket's hi, so no word is generated twice."""
         nw = _word_count(n)
         h = min(nw, int(have[rows].min()))
         words = np.empty((rows.size, nw), dtype=np.uint64)
@@ -413,7 +410,6 @@ def _search(
             if kept > h:
                 store[rows, h:kept] = words[:, h:kept]
                 have[rows] = kept
-        words[:, -1] &= _pad_mask(n)
         return words
 
     def detect(n: int, rows: np.ndarray) -> np.ndarray:
@@ -514,7 +510,7 @@ def scaling_report(
     k_high: per-point cost grows like 2^k, so ranges past ~20 need an
     explicit opt-in.
     """
-    _check_k(k_low)
+    _check_k(k_low, "k_low")
     if k_high < k_low:
         raise ValueError(f"need k_low <= k_high, got [{k_low}, {k_high}]")
     if k_high > k_budget:

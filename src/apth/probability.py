@@ -190,11 +190,9 @@ def exact_prob_mono(k: int, n: int, cap: int | None = None) -> Fraction:
     if n < k:
         return Fraction(0)
     hits = 0
-    buf = None
     for x, count in _coloring_chunks(n):
-        buf = np.empty_like(x) if buf is None else buf
         # the last chunk's padding slots past ``count`` are not reported
-        hits += int(np.bitwise_count(_any_mono(x, n, k, count, buf=buf)).sum())
+        hits += int(np.bitwise_count(_any_mono(x, n, k, count)).sum())
     return Fraction(2 * hits, 1 << n)
 
 

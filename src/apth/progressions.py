@@ -15,9 +15,9 @@ from typing import Iterator
 N_CAP = 1 << 40
 
 
-def _check_k(k: int) -> None:
+def _check_k(k: int, name: str = "k") -> None:
     if k < 3:
-        raise ValueError(f"progression length k must be >= 3, got {k}")
+        raise ValueError(f"progression length {name} must be >= 3, got {k}")
 
 
 def _check_n(n: int) -> None:

@@ -361,7 +361,7 @@ class TestErrorDiscipline:
         ("sweep --k 2", "k must be >= 3, got 2"),
         ("sweep --k 3 --target 0.01", "target must lie in [0.05, 0.95], got 0.01"),
         ("sweep --k 3 --samples 0", "samples must be >= 1, got 0"),
-        ("report --k-low 2 --k-high 4", "k must be >= 3, got 2"),
+        ("report --k-low 2 --k-high 4", "k_low must be >= 3, got 2"),
         ("report --k-low 5 --k-high 4", "need k_low <= k_high, got [5, 4]"),
         ("report --k-low 3 --k-high 4 --target 0.99",
          "target must lie in [0.05, 0.95], got 0.99"),

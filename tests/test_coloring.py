@@ -361,6 +361,8 @@ class TestMatrixBudget:
         c = Coloring(1 << 40, 0)
         for fn in (has_mono_ap, count_mono_aps):
             assert _peak(lambda: _refused(fn, c, 3)) < 1 << 20
+        for fn in (Coloring.words, Coloring.hex_words, Coloring.to01):
+            assert _peak(lambda: _refused(fn, c)) < 1 << 20
 
     def test_batch_past_the_budget_refuses(self):
         # 65 colorings of [1, 2^24] take two 64-sample groups: 2^25 words;
@@ -558,6 +560,13 @@ class TestBitSliced:
             # padding slots read as blue
             expected = bits[r] if r < rows else np.zeros(n, dtype=bool)
             assert np.array_equal(col.astype(bool), expected), (n, rows, r)
+        # the same rows as drawn, with random bits above n and the first
+        # of them set
+        ids = np.arange(rows, dtype=np.uint64)
+        drawn = _philox.words(rows + n, ids, words.shape[1])
+        if n % 64:
+            drawn[:, -1] |= np.uint64(1 << n % 64)
+        assert np.array_equal(_bitsliced(drawn, n), b)
         for k in (3, 4):
             has = batch_has_mono_ap(words, n, k)
             counts = batch_count_mono_aps(words, n, k)
@@ -567,6 +576,9 @@ class TestBitSliced:
             # any memory layout of the rows reads the same
             strided = np.asfortranarray(words)
             assert batch_has_mono_ap(strided, n, k).tolist() == has.tolist()
+            # bits above n are ignored
+            assert batch_has_mono_ap(drawn, n, k).tolist() == has.tolist()
+            assert batch_count_mono_aps(drawn, n, k).tolist() == counts.tolist()
 
     def test_padding_slots_never_count(self, monkeypatch):
         # 70 all-blue rows: the 58 padding slots of the second group are
