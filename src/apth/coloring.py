@@ -110,6 +110,7 @@ class Coloring:
 
     def flipped(self) -> "Coloring":
         """The coloring with both colors exchanged."""
+        _check_output(f"the flipped coloring of [1, {self.n}]", _word_count(self.n))
         return Coloring(self.n, self.bits ^ ((1 << self.n) - 1))
 
     def red_count(self) -> int:
@@ -158,6 +159,7 @@ def random_coloring(n: int, stream: RandomStream) -> Coloring:
     drawn from the same stream position.  Padding above n is cleared.
     """
     _check_n(n)
+    _check_output(f"a random coloring of [1, {n}]", _word_count(n))
     raw = stream.next_words(_word_count(n))
     bits = int.from_bytes(raw.astype("<u8").tobytes(), "little")
     return Coloring(n, bits & ((1 << n) - 1))

@@ -25,11 +25,12 @@ again, and a sample that misses keeps the largest n at which it is known
 to miss.  A search point detects only the samples that have not hit and
 are not known to miss at its n.  None of those hits at or before the
 smallest of their known misses, so detection resumes there, scanning only
-the k-APs that end past it.  Points carry words as well: each sample keeps
-the words of its stream generated so far, up to a bounded store
-(``_STORE_WORDS``), and a point generates only the words past them, so a
-point below one already run at its budget generates none and detects
-none.
+the k-APs that end past it.  A budget doubling detects its new samples
+once, on [1, hi] of the bracket.  Points carry words as well: each
+sample keeps the words of its stream generated so far, up to a bounded
+store (``_STORE_WORDS``), and a point generates only the words past
+them, so a point below one already run at its budget generates none and
+detects none.
 """
 
 from __future__ import annotations
@@ -254,14 +255,9 @@ class ScalingReport:
     seed: int
 
 
-def _colorings(seed: int, ids: np.ndarray, n: int) -> np.ndarray:
-    """Packed colorings of [1, n] drawn from streams (seed, i), i in ids."""
-    return _philox.words(seed, ids, _word_count(n))
-
-
 def _hits(k: int, n: int, seed: int, ids: np.ndarray) -> np.ndarray:
     """Which of the samples ``ids`` have a monochromatic k-AP in [1, n]."""
-    return batch_has_mono_ap(_colorings(seed, ids, n), n, k)
+    return batch_has_mono_ap(_philox.words(seed, ids, _word_count(n)), n, k)
 
 
 def _count_hits(k: int, n: int, seed: int, lo: int, hi: int) -> int:
@@ -342,7 +338,8 @@ def threshold_search(
     (n, m) detects, on [1, n], only those of its m samples that have not
     hit and are not known to miss at n, from the smallest of their known
     misses on, and generates only the words past those that earlier
-    points kept (see the module docstring).  The trace holds exactly the
+    points kept (see the module docstring).  A budget doubling detects
+    its new samples once, at the bracket's hi.  The trace holds exactly the
     ``estimate_prob`` results the points would give.  ``ceiling``, at
     least 1, defaults to ``_max_n()``, the widest coloring a generation
     buffer holds.
@@ -370,7 +367,6 @@ def _search(
     ``run`` of a ``_runner``."""
     if ceiling is None:
         ceiling = _max_n()
-    trace: list[tuple[int, ProbEstimate]] = []
     cache: dict[tuple[int, int], ProbEstimate] = {}
     # sample i hits on [1, n] for n >= hit_from[i] and misses for n <= miss_to[i],
     # so hit_from[i] is its first hit once miss_to[i] = hit_from[i] - 1;
@@ -395,7 +391,7 @@ def _search(
         store = grown
 
     def colorings(n: int, rows: np.ndarray) -> np.ndarray:
-        """``_colorings`` of the samples ``rows``, bits above n as drawn:
+        """The words of the samples ``rows`` on [1, n], bits above n as drawn:
         their stored words up to the smallest stored length, then one
         Philox call for the rest, whose stored columns are kept.  The
         undecided samples of a point share one stored length, as ``grow``
@@ -420,26 +416,27 @@ def _search(
         b = _bitsliced(colorings(n, rows), n)
         return _first_hits(b, n, k, rows.size, done=done)
 
+    def successes(n: int, m: int) -> int:
+        """How many of the first m samples hit on [1, n], detecting the undecided."""
+        _chunk_size(_word_count(n))  # refuse what estimate_prob refuses
+        ids = np.flatnonzero((miss_to[:m] < n) & (n < hit_from[:m]))
+        if ids.size:
+            # detection runs at the current budget, m rows
+            if store.shape[1] < min(_word_count(n), _STORE_WORDS // m):
+                grow(m, n)
+            first = np.concatenate(
+                run(lambda lo, hi: detect(n, ids[lo:hi]), ids.size, n)
+            )
+            hit = first <= n
+            hit_from[ids[hit]] = first[hit]
+            miss_to[ids] = first - 1
+        return int(np.count_nonzero(hit_from[:m] <= n))
+
     def estimate(n: int, m: int) -> ProbEstimate:
-        key = (n, m)
-        if key not in cache:
-            _chunk_size(_word_count(n))  # refuse what estimate_prob refuses
-            ids = np.flatnonzero((miss_to[:m] < n) & (n < hit_from[:m]))
-            if ids.size:
-                # a new point runs at the current budget, m rows
-                if store.shape[1] < min(_word_count(n), _STORE_WORDS // m):
-                    grow(m, n)
-                first = np.concatenate(
-                    run(lambda lo, hi: detect(n, ids[lo:hi]), ids.size, n)
-                )
-                hit = first <= n
-                hit_from[ids[hit]] = first[hit]
-                miss_to[ids] = first - 1
-            successes = int(np.count_nonzero(hit_from[:m] <= n))
-            e = ProbEstimate.from_counts(k, n, m, successes, seed)
-            cache[key] = e
-            trace.append((n, e))
-        return cache[key]
+        """The point (n, m), recorded once; the record is the trace."""
+        if (n, m) not in cache:
+            cache[n, m] = ProbEstimate.from_counts(k, n, m, successes(n, m), seed)
+        return cache[n, m]
 
     def p_hat(n: int, m: int) -> float:
         return estimate(n, m).p_hat
@@ -476,6 +473,7 @@ def _search(
         m *= 2
         # the store keeps each sample's words up to the bracket's hi
         grow(m, hi)
+        successes(hi, m)  # the new samples' first hits on [1, hi], in one detection
         # estimates move at the new budget: restore the bracket in steps
         lo, hi = bracket(lo, hi, m, lambda n: n - step(n), lambda n: n + step(n))
 
@@ -487,7 +485,7 @@ def _search(
         bracket_high=hi,
         samples_per_point=samples,
         seed=seed,
-        trace=tuple(trace),
+        trace=tuple((n, e) for (n, _), e in cache.items()),
     )
 
 

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive pure Python (nested loops over
 element tuples, no bit tricks, no shared code with the library kernels) so
-that agreement with the library is a genuine two-route check.
+that agreement with the library is a genuine two-route check.  The one
+exception, ``mono_free_frontiers``, drives the detection kernel itself
+and is checked against exact enumeration and known van der Waerden
+numbers.
 """
 
 from collections import Counter
@@ -32,6 +35,35 @@ def naive_has_mono(bits: int, k: int, n: int) -> bool:
 def naive_first_hit(bits: int, k: int, n: int) -> int:
     """The smallest e <= n with a monochromatic k-AP in [1, e], or n + 1."""
     return next((e for e in range(1, n + 1) if naive_has_mono(bits, k, e)), n + 1)
+
+
+def mono_free_frontiers(k: int):
+    """Yield (n, F_n) for n = 1, 2, ... up to the first empty F_n, where
+    F_n holds the colorings of [1, n] with element 1 red and no
+    monochromatic k-AP, one uint64 word each.  An F_n of more than 4096
+    rows (k = 4 peaks at 974) fails an assertion, so a kernel that misses
+    hits fails fast instead of doubling F_n at every n, and n stays far
+    below 64.
+
+    Unlike the oracles above, this one drives the library's kernel: F_n is
+    F_{n-1} with element n added in both colors, less the rows in which
+    ``_first_hits`` resumed at done = n - 1 finds a monochromatic k-AP.
+    Every row is free on [1, n - 1], which is exactly what the resumed
+    scan assumes, so a row reads n + 1 iff it stays free on [1, n]."""
+    import numpy as np
+
+    from apth.coloring import _bitsliced, _first_hits
+
+    frontier = np.ones((1, 1), dtype=np.uint64)
+    n = 1
+    while frontier.size:
+        yield n, frontier[:, 0]
+        n += 1
+        rows = np.concatenate([frontier, frontier | np.uint64(1 << (n - 1))])
+        first = _first_hits(_bitsliced(rows, n), n, k, len(rows), done=n - 1)
+        frontier = rows[first == n + 1]
+        assert len(frontier) <= 1 << 12, (n, len(frontier))
+    yield n, frontier[:, 0]
 
 
 def naive_count_mono(bits: int, k: int, n: int) -> int:

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from apth.family import APFamily, large_diff_family
 from oracles import (
     ap_tuples,
     is_mono,
+    mono_free_frontiers,
     naive_count_mono,
     naive_first_hit,
     naive_has_mono,
@@ -361,8 +363,15 @@ class TestMatrixBudget:
         c = Coloring(1 << 40, 0)
         for fn in (has_mono_ap, count_mono_aps):
             assert _peak(lambda: _refused(fn, c, 3)) < 1 << 20
-        for fn in (Coloring.words, Coloring.hex_words, Coloring.to01):
+        for fn in (Coloring.words, Coloring.hex_words, Coloring.to01, Coloring.flipped):
             assert _peak(lambda: _refused(fn, c)) < 1 << 20
+        stream = RandomStream(1)
+        assert _peak(lambda: _refused(random_coloring, 1 << 40, stream)) < 1 << 20
+
+    def test_refused_random_coloring_keeps_the_cursor(self):
+        stream = RandomStream(1)
+        _refused(random_coloring, 1 << 40, stream)
+        assert random_coloring(100, stream) == random_coloring(100, RandomStream(1))
 
     def test_batch_past_the_budget_refuses(self):
         # 65 colorings of [1, 2^24] take two 64-sample groups: 2^25 words;
@@ -543,6 +552,25 @@ class TestFirstHits:
         words = self._random_words(5, 70, 100)
         with pytest.raises(ValueError):
             self._first_hits(words, 100, 3, done=done)
+
+
+class TestMonoFreeFrontier:
+    # the frontier grows one element at a time through the resumed scan,
+    # done = n - 1, so it checks that path at every n below W(2; k)
+    # against known van der Waerden numbers and exact enumeration
+
+    @pytest.mark.parametrize("k, w", [(3, 9), (4, 35)])
+    def test_first_empties_at_the_van_der_waerden_number(self, k, w):
+        assert [n for n, f in mono_free_frontiers(k) if f.size == 0] == [w]
+
+    @pytest.mark.parametrize("k, n_max", [(3, 8), (4, 19)])
+    def test_matches_exact_probability(self, k, n_max):
+        for n, f in mono_free_frontiers(k):
+            if n > n_max:
+                break
+            # the free colorings with element 1 blue are the flips of F_n
+            free = Fraction(2 * f.size, 1 << n)
+            assert 1 - free == probability.exact_prob_mono(k, n), n
 
 
 class TestBitSliced:

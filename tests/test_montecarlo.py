@@ -145,7 +145,7 @@ class TestEstimateProb:
         head, samples = 64 * (k - 1), 3000
         ids = np.arange(samples, dtype=np.uint64)
         one_pass = {
-            n: montecarlo.batch_has_mono_ap(montecarlo._colorings(5, ids, n), n, k)
+            n: montecarlo.batch_has_mono_ap(_philox.words(5, ids, -(-n // 64)), n, k)
             for n in (head - 1, head, head + 1, head + 70)
         }
         assert (one_pass[head + 1] & ~one_pass[head]).any()
@@ -445,6 +445,33 @@ class TestThresholdSearch:
         for n, e in ref.trace:
             assert e.successes == sum(i < e.samples and f <= n for i, f in hit_at.items())
         assert len(calls) < len(ref.trace) - 5
+
+    def test_doubling_detects_its_new_samples_once(self, monkeypatch):
+        # the samples a doubling adds first reach the kernel together, in
+        # one call at the bracket's hi, and the points that restore the
+        # bracket read them without detecting
+        seed, samples = 3, 600
+        calls = []  # per kernel call: n and the sample ids it detects
+        first_hits = montecarlo._first_hits
+        ids = np.arange(8 * samples, dtype=np.uint64)
+
+        def wrapped(b, n, k, count, *, done=0):
+            cols = np.unpackbits(b.view(np.uint8), axis=1, bitorder="little").T
+            words = _philox.words(seed, ids, -(-n // 64))
+            rows = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+            index = {r[:n].tobytes(): i for i, r in enumerate(rows)}
+            calls.append((n, {index[c.tobytes()] for c in cols[:count]}))
+            return first_hits(b, n, k, count, done=done)
+
+        ref = threshold_search(12, 0.5, samples, seed)
+        monkeypatch.setattr(montecarlo, "_first_hits", wrapped)
+        assert threshold_search(12, 0.5, samples, seed) == ref
+        assert len(calls) == 8
+        for m in (samples, 2 * samples, 4 * samples):
+            # the bracket's hi at budget m: its smallest point at the target
+            hi = min(n for n, e in ref.trace if e.samples == m and e.p_hat >= 0.5)
+            new = set(range(m, 2 * m))
+            assert next((n, got) for n, got in calls if got & new) == (hi, new)
 
     def test_pinned_result(self):
         # how a search detects must never change what it reports
