@@ -228,30 +228,25 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def cmd(name, help_text, fmt_default="csv", formats=("csv", "json")):
+    def cmd(name, help_text, fmt_default="csv", formats=("csv", "json"), kn=True):
         p = sub.add_parser(name, help=help_text)
         if formats:
             p.add_argument("--format", choices=formats, default=fmt_default)
         p.add_argument("--out", help="write output to this file instead of stdout")
+        if kn:
+            p.add_argument("--k", type=int, required=True)
+            p.add_argument("--n", type=int, required=True)
         return p
 
-    p = cmd("count", "number of k-APs contained in [1, n]", "json")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    cmd("count", "number of k-APs contained in [1, n]", "json")
 
     p = cmd("enumerate", "list k-APs in [1, n], ordered by (diff, start)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--dmin", type=int, help="restrict to diff >= dmin")
     p.add_argument("--dmax", type=int, help="restrict to diff <= dmax")
 
-    p = cmd("family", "the almost-disjoint family with diff in [n/k, n/(k-1))")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    cmd("family", "the almost-disjoint family with diff in [n/k, n/(k-1))")
 
     p = cmd("greedy", "greedy maximal almost-disjoint family over all k-APs")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--seed-large-diff",
         action="store_true",
@@ -264,30 +259,24 @@ def _build_parser() -> _Parser:
     )
 
     p = cmd("exact", "exact mono-k-AP probability by full enumeration", "json")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--brute-cap", type=int)
 
     p = cmd("dist", "exact distribution of the mono-k-AP count")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--brute-cap", type=int)
 
-    p = cmd("bounds", "closed-form bound evaluators", "json", formats=("json",))
+    p = cmd("bounds", "closed-form bound evaluators", "json", ("json",), kn=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--f", type=float, help="upper-scale parameter (>= 1)")
     p.add_argument("--g", type=float, help="lower-scale parameter in (0, 1]")
 
     p = cmd("simulate", "Monte Carlo estimate of the mono-k-AP probability", "json")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
 
     p = cmd("sweep", "locate the n where the estimate crosses the target",
-            "json", formats=("json",))
+            "json", ("json",), kn=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--target", type=float, default=0.5)
     p.add_argument("--samples", type=int, default=10000)
@@ -295,7 +284,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--ceiling", type=int)
 
-    p = cmd("report", "threshold scaling table over a k range")
+    p = cmd("report", "threshold scaling table over a k range", kn=False)
     p.add_argument("--k-low", type=int, required=True)
     p.add_argument("--k-high", type=int, required=True)
     p.add_argument("--target", type=float, default=0.5)
@@ -306,7 +295,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-budget", type=int, default=20,
                    help="refuse k-high beyond this (per-point cost ~ 2^k)")
 
-    cmd("selftest", "run the built-in invariant suite", formats=())
+    cmd("selftest", "run the built-in invariant suite", formats=(), kn=False)
 
     return parser
 

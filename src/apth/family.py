@@ -173,47 +173,35 @@ class APFamily:
     stored packed, as int64 start and diff arrays, and ``members``,
     iteration and indexing build ``Progression`` objects on demand; the
     large-difference family stays virtual and gives its arrays by closed
-    form.  Progressions passed in are validated: length k, inside [1, n],
-    no duplicates.  ``certified_almost_disjoint`` marks families whose
-    construction guarantees almost-disjointness, letting density
+    form.  Progressions passed in are always validated: length k, inside
+    [1, n], no duplicates.  ``certified_almost_disjoint`` is set only on
+    the results of ``large_diff_family`` and ``greedy_max_family``, whose
+    constructions guarantee almost-disjointness; it lets density
     computations skip a re-check that would be infeasible at large n.
     """
 
     __slots__ = ("k", "n", "_members", "certified_almost_disjoint")
 
-    def __init__(
-        self,
-        k: int,
-        n: int,
-        members: Iterable[Progression],
-        certified_almost_disjoint: bool = False,
-    ):
+    def __init__(self, k: int, n: int, members: Iterable[Progression]):
         _check_k(k)
         _check_n(n)
         self.k = k
         self.n = n
-        if isinstance(members, _LargeDiffMembers):
-            self._members: _PackedMembers | _LargeDiffMembers = members
-        else:
-            self._members = _pack(k, n, members)
-        self.certified_almost_disjoint = certified_almost_disjoint
+        self._members: _PackedMembers | _LargeDiffMembers = _pack(k, n, members)
+        self.certified_almost_disjoint = False
 
     @classmethod
-    def _packed(
-        cls,
-        k: int,
-        n: int,
-        starts: np.ndarray,
-        diffs: np.ndarray,
-        certified_almost_disjoint: bool,
+    def _certified(
+        cls, k: int, n: int, members: _PackedMembers | _LargeDiffMembers
     ) -> APFamily:
-        """A family over arrays already sorted by (diff, start), distinct
-        and inside [1, n]; nothing is checked."""
+        """A family a construction guarantees: members sorted by (diff,
+        start), distinct, inside [1, n] and almost disjoint; nothing is
+        checked."""
         fam = cls.__new__(cls)
         fam.k = k
         fam.n = n
-        fam._members = _PackedMembers(k, starts, diffs)
-        fam.certified_almost_disjoint = certified_almost_disjoint
+        fam._members = members
+        fam.certified_almost_disjoint = True
         return fam
 
     @property
@@ -272,7 +260,7 @@ def large_diff_family(k: int, n: int) -> APFamily:
     """
     _check_k(k)
     _check_n(n)
-    return APFamily(k, n, _LargeDiffMembers(k, n), certified_almost_disjoint=True)
+    return APFamily._certified(k, n, _LargeDiffMembers(k, n))
 
 
 def large_diff_family_size(k: int, n: int) -> int:
@@ -380,7 +368,7 @@ def greedy_max_family(
         )
     if n < k:  # no k-AP fits: skip the table and the C(k, 2) pair offsets
         none = np.empty(0, dtype=np.int64)
-        return APFamily._packed(k, n, none, none, certified_almost_disjoint=True)
+        return APFamily._certified(k, n, _PackedMembers(k, none, none))
 
     covered = np.zeros((n + 1) ** 2, dtype=np.uint8)
     # key of the pair (a + i*d, a + j*d) is a*(n+2) + d*(i*(n+1) + j)
@@ -439,9 +427,8 @@ def greedy_max_family(
 
     starts, diffs = np.concatenate(kept_starts), np.concatenate(kept_diffs)
     ranked = np.lexsort((starts, diffs))
-    return APFamily._packed(
-        k, n, starts[ranked], diffs[ranked], certified_almost_disjoint=True
-    )
+    members = _PackedMembers(k, starts[ranked], diffs[ranked])
+    return APFamily._certified(k, n, members)
 
 
 def _keys(

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from apth import __version__, montecarlo
+from apth import __version__, cli, montecarlo
 from apth.cli import (
     main,
     read_record,
@@ -455,3 +455,26 @@ class TestSelftest:
         code, out, err = run(capsys, "selftest")
         assert code == 0
         assert all(line.startswith("ok ") for line in out.splitlines())
+
+    def test_failure_is_reported_and_exits_1(self, capsys, monkeypatch, tmp_path):
+        def passes():
+            pass
+
+        def fails():
+            raise AssertionError("planted")
+
+        monkeypatch.setattr(cli, "_selftest_checks", lambda: [passes, fails])
+        code, out, err = run(capsys, "selftest")
+        assert code == 1
+        assert out == "ok passes\nFAIL fails: AssertionError('planted')\n"
+        assert err == "error: 1: 1 selftest check(s) failed\n"
+        path = tmp_path / "selftest.txt"
+        code, report, err = run(capsys, "selftest", "--out", str(path))
+        assert code == 1 and report == ""
+        assert path.read_text() == out
+        assert err == "error: 1: 1 selftest check(s) failed\n"
+
+
+def test_read_table_refuses_another_header():
+    with pytest.raises(ValueError, match="unexpected CSV header 'r,count'"):
+        read_table("r,count\n0,6\n", ["start", "diff", "k"])

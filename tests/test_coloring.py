@@ -126,6 +126,12 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(0, 1 << 64)
 
+    @pytest.mark.parametrize("nwords, first_word", [(-1, 0), (3, -1)])
+    def test_batched_words_refuse_negative_positions(self, nwords, first_word):
+        ids = np.arange(2, dtype=np.uint64)
+        with pytest.raises(ValueError, match="nonnegative"):
+            _philox.words(1, ids, nwords, first_word)
+
     def test_batched_words_equal_per_stream_words(self):
         ids = np.arange(50, dtype=np.uint64)
         batch = _philox.words(123, ids, 7)

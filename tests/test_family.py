@@ -98,6 +98,10 @@ class TestLargeDiffFamily:
         assert len(fam) == large_diff_family_size(3, 10**6)
         assert fam.certified_almost_disjoint
 
+    def test_virtual_members_refuse_slicing(self):
+        with pytest.raises(TypeError, match="slicing is not supported"):
+            large_diff_family(3, 30).members[1:3]
+
 
 class TestPackedMembers:
     def test_sorted_by_diff_then_start(self):
@@ -119,6 +123,30 @@ class TestPackedMembers:
     def test_rejects_bad_members(self, members, message):
         with pytest.raises(ValueError, match=message):
             APFamily(3, 10, [Progression(*m) for m in members])
+
+    @pytest.mark.parametrize("k, n, message", [
+        # members reach element 99, past n = 5
+        (3, 5, r"Progression\(start=1, diff=34, length=3\) is not contained "
+               r"in \[1, 5\]"),
+        (4, 100, r"Progression\(start=1, diff=34, length=3\) does not have "
+                 r"length k=4"),
+    ], ids=["outside_n", "wrong_length"])
+    def test_construction_members_are_validated(self, k, n, message):
+        # a construction's members passed to the constructor are checked
+        # like any other progressions; the certificate is not carried over
+        with pytest.raises(ValueError, match=message):
+            APFamily(k, n, large_diff_family(3, 100).members)
+
+    def test_revalidated_family_is_equal_and_uncertified(self):
+        big = large_diff_family(3, 100)
+        fam = APFamily(3, 100, big.members)
+        assert fam == big and list(fam) == list(big)
+        assert big.certified_almost_disjoint
+        assert not fam.certified_almost_disjoint
+
+    def test_constructor_cannot_certify(self):
+        with pytest.raises(TypeError):
+            APFamily(3, 10, [], certified_almost_disjoint=True)
 
     def test_accepts_any_iterable(self):
         members = [Progression(4, 3, 3), Progression(1, 2, 3)]
@@ -415,6 +443,10 @@ class TestBlockPlan:
             block_plan(10, 4)
         with pytest.raises(ValueError, match="0 <= r < s"):
             block_plan(10, 12)
+
+    def test_rejects_zero_blocks(self):
+        with pytest.raises(ValueError, match="q must be >= 1, got 0"):
+            block_plan(10, 0)
 
 
 class TestBlockCount:

@@ -65,6 +65,15 @@ class TestExactProbMono:
             exact_prob_mono(3, 12, cap=10)
         assert exact_prob_mono(3, 12, cap=12) == naive_prob_mono(3, 12)
 
+    def test_refuses_past_the_word_width_before_enumerating(self, monkeypatch):
+        # a raised cap still cannot index colorings past one 64-bit word
+        def no_chunks(n):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(probability, "_coloring_chunks", no_chunks)
+        with pytest.raises(ValueError, match="architectural limit 63"):
+            exact_prob_mono(3, 64, cap=64)
+
     def test_monotone_in_n(self):
         probs = [exact_prob_mono(3, n) for n in range(3, 15)]
         assert all(a <= b for a, b in zip(probs, probs[1:]))
@@ -117,6 +126,10 @@ class TestDistribution:
     def test_cap_enforced(self):
         with pytest.raises(BruteForceCapError):
             mono_count_distribution(3, 27)
+
+    def test_counts_must_sum_to_total(self):
+        with pytest.raises(ValueError, match="must sum to 2\\^n"):
+            probability.ExactDistribution(3, 3, {0: 6, 1: 1}, 8)
 
 
 class TestSingleCount:
@@ -208,6 +221,10 @@ class TestBonferroni:
     def test_exponent_underflow_rejected(self):
         with pytest.raises(ValueError):
             bonferroni_lower(2, 3, 3)
+
+    def test_negative_set_count_rejected(self):
+        with pytest.raises(ValueError, match="m must be >= 0, got -1"):
+            bonferroni_lower(-1, 10, 3)
 
     def test_strong_bound_implies_half_first_term(self):
         for m in (1, 2, 4):  # all <= 2^2 for k=3
