@@ -47,6 +47,7 @@ from .probability import (
     BoundReport,
     ExactDistribution,
     bonferroni_lower,
+    clump_threshold,
     exact_prob_mono,
     expected_mono,
     markov_upper,
@@ -88,6 +89,7 @@ __all__ = [
     "block_count",
     "block_plan",
     "bonferroni_lower",
+    "clump_threshold",
     "contained_in",
     "count_aps",
     "count_mono_aps",

@@ -13,7 +13,9 @@ The bound evaluators are plain double-precision formulas:
   drives it,
 * the first-moment lower bound (k-2-k g^2)/(k-2) on p0,
 * the threshold scales 2^(k/2) k^(3/2) f and 2^(k/2) k^(1/2) g at which
-  the mono-AP probability is pushed to 1 (resp. 0) as k grows.
+  the mono-AP probability is pushed to 1 (resp. 0) as k grows,
+* the declumped first-moment threshold ``clump_threshold``, an exact
+  rational reference for where the mono probability crosses a target.
 
 The asymptotic inequalities behind the bounds need not hold at finite k;
 evaluators therefore report validity flags instead of refusing.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, isqrt
+from math import comb, exp, isqrt, log1p
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -388,3 +390,48 @@ def threshold_scale_lower(k: int, g: float) -> int:
     _check_bound_k(k)
     _check_g(g)
     return _floor_sqrt(Fraction(g) ** 2 * (1 << k) * k)
+
+
+def _clump_runs(k: int, n: int) -> int:
+    """2^k E_c(k, n), where E_c is the expected number of maximal
+    monochromatic runs (a, d), (a+d, d), ... of k-APs in [1, n]: each k-AP
+    (a, d) starts a run with probability 2^(1-k) when a - d < 1, and
+    2^(-k) otherwise, so E_c = sum_d [min(d, s_d) 2^(1-k) +
+    max(0, s_d - d) 2^(-k)] over the differences d with s_d = n - (k-1)d
+    >= 1 starts.  That is 2^(-k) sum_d (s_d + min(d, s_d)), and
+    min(d, s_d) = d exactly for d <= floor(n/k), so the sum has a closed
+    form."""
+    top = max(0, (n - 1) // (k - 1))  # the largest difference
+    mid = min(top, n // k)  # the largest d with d <= s_d
+
+    def starts(lo: int, hi: int) -> int:  # sum of s_d over lo <= d <= hi
+        count = hi - lo + 1
+        return count * n - (k - 1) * (lo + hi) * count // 2
+
+    return starts(1, top) + mid * (mid + 1) // 2 + starts(mid + 1, top)
+
+
+def clump_threshold(k: int, target: float) -> int:
+    """The smallest n with 1 - exp(-E_c(k, n)) >= target (see ``_clump_runs``).
+
+    The paper's first-moment heuristic P(no mono k-AP) ~ exp(-E[X]) counts
+    every monochromatic k-AP, but one is followed by a monochromatic
+    (a+d, d) with probability 1/2, so they come in clumps; counting the
+    starts of maximal runs instead is the Poisson clumping heuristic
+    (Aldous 1989).  It is a heuristic reference, not a bound.  E_c is an
+    exact rational, nondecreasing in n, and n is found by a binary
+    search; the one float is the level -ln(1 - target)."""
+    _check_bound_k(k)
+    if not 0 < target < 1:
+        raise ValueError(f"target must lie in (0, 1), got {target}")
+    level = Fraction(-log1p(-target)) * (1 << k)
+    lo, hi = k - 1, k  # E_c(k, k-1) = 0 < level
+    while _clump_runs(k, hi) < level:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _clump_runs(k, mid) >= level:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -528,6 +528,24 @@ class TestFirstHits:
                 got = self._first_hits(prefix[keep], n, k, done=done)
                 assert np.array_equal(got, expected[keep]), (k, n, done)
 
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_first_hit_grows_with_k(self, k):
+        # a monochromatic (k+1)-AP holds a monochromatic k-AP, its first k
+        # terms, so no sample hits at k+1 before its first hit at k: a
+        # scaling report carries each sample's misses at k over to k+1
+        n = 160
+        words = self._random_words(200 + k, 60, n)
+        rows = [int.from_bytes(r.astype("<u8").tobytes(), "little") for r in words]
+        at_k = self._first_hits(words, n, k)
+        at_next = self._first_hits(words, n, k + 1)
+        assert at_k.tolist() == [naive_first_hit(bits, k, n) for bits in rows]
+        assert at_next.tolist() == [naive_first_hit(bits, k + 1, n) for bits in rows]
+        assert (at_next >= at_k).all()
+        assert (at_next > at_k).any()
+        # so k+1 may resume past the smallest first hit at k
+        done = int(at_k.min()) - 1
+        assert np.array_equal(self._first_hits(words, n, k + 1, done=done), at_next)
+
     def test_agrees_with_detection_and_counts(self):
         k, n = 5, 200
         words = self._random_words(9, 500, n)

@@ -17,7 +17,7 @@ from apth.montecarlo import (
     threshold_search,
     wilson_interval,
 )
-from apth.probability import exact_prob_mono, markov_upper
+from apth.probability import clump_threshold, exact_prob_mono, markov_upper
 from oracles import ap_tuples, estimate_driven_search, is_mono
 
 
@@ -525,6 +525,78 @@ class TestScalingReport:
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Counted)
         assert scaling_report(8, 11, 0.5, 300, 5, workers=2) == ref
         assert started == [2]
+
+    @staticmethod
+    def _recorded_searches(monkeypatch):
+        # every search a report runs, each checked to keep the word store
+        # that it hands to the next k within its budget
+        results = []
+        search = montecarlo._search
+
+        def recorded(*args):
+            results.append(search(*args))
+            assert args[-1].store.size <= montecarlo._STORE_WORDS
+            return results[-1]
+
+        monkeypatch.setattr(montecarlo, "_search", recorded)
+        return results
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_k_equals_a_fresh_search(self, monkeypatch, workers):
+        # each k starts from the words and known misses of the k below,
+        # yet finds exactly what a search of its own finds, trace included
+        fresh = [threshold_search(k, 0.5, 300, 5) for k in range(8, 13)]
+        results = self._recorded_searches(monkeypatch)
+        rep = scaling_report(8, 12, 0.5, 300, 5, workers=workers)
+        assert results == fresh
+        assert [row.n_star for row in rep.rows] == [res.n_star for res in fresh]
+
+    def test_split_ranges_keep_report(self, monkeypatch):
+        # with every point split over the threads, the record carried from
+        # k to k+1 is written range by range from several threads
+        ref = scaling_report(8, 11, 0.5, 300, 7)
+        monkeypatch.setattr(montecarlo, "_MIN_SHARE_BITS", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 3):
+                assert scaling_report(8, 11, 0.5, 300, 7, workers=workers) == ref
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("store_words", [0, 300, 2400])
+    def test_small_word_store_keeps_results(self, monkeypatch, store_words):
+        # after k = 8 the report holds 8 x 300 samples, so 300 and 2,400
+        # words leave the store no column, or one, at every budget
+        fresh = [threshold_search(k, 0.5, 300, 5) for k in range(8, 13)]
+        ref = scaling_report(8, 12, 0.5, 300, 5)
+        monkeypatch.setattr(montecarlo, "_STORE_WORDS", store_words)
+        results = self._recorded_searches(monkeypatch)
+        assert scaling_report(8, 12, 0.5, 300, 5) == ref
+        assert results == fresh
+
+    def test_report_reuses_words_across_k(self, monkeypatch):
+        # each k reads the words the k below stored; a report whose searches
+        # each started afresh made 31 Philox calls of 31,662 words
+        calls = []
+        words = _philox.words
+
+        def counted_words(seed, ids, nwords, first_word=0):
+            calls.append(len(ids) * nwords)
+            return words(seed, ids, nwords, first_word=first_word)
+
+        ref = scaling_report(8, 12, 0.5, 300, 5)
+        monkeypatch.setattr(_philox, "words", counted_words)
+        assert scaling_report(8, 12, 0.5, 300, 5) == ref
+        assert (len(calls), sum(calls)) == (24, 13156)
+
+    def test_thresholds_track_the_declumped_first_moment(self):
+        # n* sits at or just above the smallest n whose expected number
+        # of maximal monochromatic runs reaches ln 2 (seed 1 reads
+        # 1.03-1.05 over k = 8..12)
+        rep = scaling_report(8, 12, 0.5, 500, 1)
+        for row in rep.rows:
+            assert 0.95 <= row.n_star / clump_threshold(row.k, 0.5) <= 1.10, row
 
     def test_ratio_envelope(self):
         # n_star / (2^(k/2) sqrt(k)) should not wander by more than 8x

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from apth.errors import BruteForceCapError
 from apth.family import APFamily, large_diff_family
 from apth.probability import (
     bonferroni_lower,
+    clump_threshold,
     exact_prob_mono,
     expected_mono,
     markov_upper,
@@ -403,3 +405,49 @@ class TestThresholdScales:
     @given(st.integers(3, 30))
     def test_upper_dominates_lower(self, k):
         assert threshold_scale_upper(k, 1) >= threshold_scale_lower(k, 1)
+
+
+class TestClumpThreshold:
+    @staticmethod
+    def _runs(k, n):
+        # E_c(k, n) term by term: a k-AP (a, d) starts a maximal
+        # monochromatic run with probability 2^(1-k) when a - d < 1
+        return sum(
+            Fraction(2 if ap[0] - (ap[1] - ap[0]) < 1 else 1, 2**k)
+            for ap in ap_tuples(k, n)
+        )
+
+    def test_closed_form_matches_the_sum_over_aps(self):
+        for k in range(3, 8):
+            for n in range(0, 90):
+                assert probability._clump_runs(k, n) == self._runs(k, n) * 2**k, (k, n)
+
+    @pytest.mark.parametrize("target", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 8])
+    def test_smallest_n_reaching_the_target(self, k, target):
+        n = clump_threshold(k, target)
+
+        def reached(n):
+            return 1 - math.exp(-self._runs(k, n)) >= target
+
+        assert reached(n) and not reached(n - 1)
+
+    def test_exact_medians(self):
+        # the exact median of the first hit at k = 4, 5, 6 sits at or just
+        # above the declumped first-moment threshold
+        for k, median in ((4, 9), (5, 15), (6, 23)):
+            assert exact_prob_mono(k, median) >= Fraction(1, 2) > exact_prob_mono(k, median - 1)
+            assert 1.0 <= median / clump_threshold(k, 0.5) <= 1.1, k
+
+    def test_frozen_values(self):
+        assert [clump_threshold(k, 0.5) for k in (4, 5, 6, 8, 16, 24)] == [
+            9, 14, 22, 51, 1140, 22673
+        ]
+
+    def test_rejects_out_of_range(self):
+        for target in (0, 1, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="target"):
+                clump_threshold(8, target)
+        for k in (2, probability._BOUND_K_MAX + 1):
+            with pytest.raises(ValueError):
+                clump_threshold(k, 0.5)
