@@ -229,6 +229,20 @@ _TRANSPOSE8 = tuple(
 _MATRIX_WORDS = 1 << 24
 
 
+#: Words of the element-major matrix that apth's own batch producers (the
+#: Monte Carlo ranges and second-stage slices, the exact oracles' chunks)
+#: hand to one kernel call (1 MB).  The kernel's scratch comes on top, so
+#: matrix and scratch fit a 2 MB L2 and the doubling passes of ``_breaks``
+#: need not stream from L3.  One 64-sample group of [1, n] may pass it.
+_KERNEL_WORDS = 1 << 17
+
+
+def _kernel_groups(n: int) -> int:
+    """64-sample groups of [1, n] per kernel call: as many as
+    ``_KERNEL_WORDS`` holds, and at least one."""
+    return max(1, _KERNEL_WORDS // n)
+
+
 def _check_matrix(n: int, rows: int) -> None:
     """Refuse a detection whose (n, ceil(rows/64)) matrix passes the budget."""
     words = n * -(-rows // WORD_BITS)

@@ -56,6 +56,7 @@ from .coloring import (
     WORD_BITS,
     _bitsliced,
     _first_hits,
+    _kernel_groups,
     _word_count,
     batch_has_mono_ap,
 )
@@ -63,9 +64,10 @@ from .errors import SearchCeilingError
 from .progressions import _check_k, _check_n
 from .probability import threshold_scale_lower
 
-#: Word budget per generation buffer (~2 MB), sized to keep each task's
-#: working set cache-resident at large n.  Ranges never influence results:
-#: sample i is keyed by its absolute index.
+#: Word budget per generation buffer (2 MB), which bounds the words a
+#: range generates at once whatever n is; the matrices a range detects on
+#: are capped by the kernel budget (``coloring._KERNEL_WORDS``) instead.
+#: Ranges never influence results: sample i is keyed by its absolute index.
 _CHUNK_WORDS = 1 << 18
 
 
@@ -114,26 +116,36 @@ def _ranges(samples: int, chunk: int, workers: int) -> list[tuple[int, int]]:
 _MIN_SHARE_BITS = 1 << 22
 
 
-def _batch_ranges(samples: int, n: int, workers: int) -> list[tuple[int, int]]:
-    """``_ranges`` of a batch of colorings of [1, n] in generation
-    buffers, spread over as many of ``workers`` threads as get at least
-    ``_MIN_SHARE_BITS`` each."""
+def _range_rows(n: int) -> int:
+    """Rows of colorings of [1, n] per range: a generation buffer's
+    ``_chunk_size``, and at most the kernel budget's 64-sample groups."""
+    return min(_chunk_size(_word_count(n)), WORD_BITS * _kernel_groups(n))
+
+
+def _batch_ranges(
+    samples: int, n: int, workers: int, width: int | None = None
+) -> list[tuple[int, int]]:
+    """``_ranges`` of a batch of colorings of [1, n] whose first detection
+    reads [1, width] (all of [1, n] by default), of ``_range_rows(width)``
+    rows each, spread over as many of ``workers`` threads as get at least
+    ``_MIN_SHARE_BITS`` of [1, n] each."""
     engaged = min(workers, max(1, samples * n // _MIN_SHARE_BITS))
-    return _ranges(samples, _chunk_size(_word_count(n)), engaged)
+    return _ranges(samples, _range_rows(n if width is None else width), engaged)
 
 
 @contextmanager
 def _runner(workers: int):
-    """Yield ``run(fn, samples, n)``, which calls ``fn(lo, hi)`` over the
-    ``_batch_ranges`` of a batch and returns the results in order.  One
-    pool of ``workers`` threads serves every call; a single worker, or a
-    batch of one range, runs in the calling thread.  A count below one
-    also runs there, leaving its error to the caller's argument checks."""
+    """Yield ``run(fn, samples, n, width=None)``, which calls ``fn(lo, hi)``
+    over the ``_batch_ranges`` of a batch and returns the results in
+    order.  One pool of ``workers`` threads serves every call; a single
+    worker, or a batch of one range, runs in the calling thread.  A count
+    below one also runs there, leaving its error to the caller's argument
+    checks."""
     threads = ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
     with threads as pool:
 
-        def run(fn, samples: int, n: int) -> list:
-            ranges = _batch_ranges(samples, n, workers)
+        def run(fn, samples: int, n: int, width: int | None = None) -> list:
+            ranges = _batch_ranges(samples, n, workers, width)
             if pool is None or len(ranges) == 1:
                 return [fn(lo, hi) for lo, hi in ranges]
             return list(pool.map(lambda r: fn(*r), ranges))
@@ -269,14 +281,17 @@ def _hits(k: int, n: int, seed: int, ids: np.ndarray) -> np.ndarray:
     return batch_has_mono_ap(_philox.words(seed, ids, _word_count(n)), n, k)
 
 
-def _count_hits(k: int, n: int, seed: int, lo: int, hi: int) -> int:
-    """Successes among samples lo..hi-1, detected in two stages."""
+def _count_hits(k: int, n: int, head: int, seed: int, lo: int, hi: int) -> int:
+    """Successes among samples lo..hi-1, detected in two stages: all of
+    them on [1, head], then those that missed there on [1, n], in slices
+    of ``_range_rows(n)``."""
     ids = np.arange(lo, hi, dtype=np.uint64)
-    head = min(n, WORD_BITS * (k - 1))
     misses = ids[~_hits(k, head, seed, ids)]
     successes = ids.size - misses.size
-    if head < n and misses.size:
-        successes += int(np.count_nonzero(_hits(k, n, seed, misses)))
+    if head < n:
+        rows = _range_rows(n)
+        for at in range(0, misses.size, rows):
+            successes += int(np.count_nonzero(_hits(k, n, seed, misses[at : at + rows])))
     return successes
 
 
@@ -308,14 +323,21 @@ def estimate_prob(
     """Estimate P(a uniform coloring of [1, n] has a mono k-AP).
 
     Sample i is the coloring drawn from stream (seed, i); successes are
-    counted in the two stages the module docstring describes.  The result
-    is a pure function of (k, n, samples, seed) regardless of ``workers``.
+    counted in the two stages the module docstring describes.  The ranges
+    are laid out for the first stage, on [1, head]; each range's misses
+    reach the second in slices sized for [1, n], and no range keeps more
+    than its own.  The result is a pure function of (k, n, samples, seed)
+    regardless of ``workers``.
     """
     _check_k(k)
     _check_n(n)
     _check_run(samples, seed, workers)
+    _chunk_size(_word_count(n))  # refuse a row wider than a generation buffer
+    head = min(n, WORD_BITS * (k - 1))
     with _runner(workers) as run:
-        counts = run(lambda lo, hi: _count_hits(k, n, seed, lo, hi), samples, n)
+        counts = run(
+            lambda lo, hi: _count_hits(k, n, head, seed, lo, hi), samples, n, head
+        )
     return ProbEstimate.from_counts(k, n, samples, sum(counts), seed)
 
 

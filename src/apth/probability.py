@@ -33,6 +33,7 @@ import numpy as np
 from .coloring import (
     _any_mono,
     _count_buffers,
+    _kernel_groups,
     _mono_counts,
     _padding,
     _plane_histogram,
@@ -68,9 +69,6 @@ _HARD_ENUM_LIMIT = 63
 #: about 2,500 digits, far beyond any k a Monte Carlo run can reach.
 _BOUND_K_MAX = 1 << 14
 
-#: 64-coloring groups per enumeration chunk: 2^20 colorings.
-_CHUNK = 1 << 14
-
 #: Elements 2..7 of the 64 colorings of one group: element j+2 of the
 #: coloring in bit s is bit j of s (0xAAAA..., 0xCCCC..., 0xF0F0..., ...).
 _LOW_ELEMENTS = np.array(
@@ -103,7 +101,9 @@ def _coloring_chunks(n: int) -> Iterator[tuple[np.ndarray, int]]:
     of group y // 64.  So element 1 is all ones, elements 2..7 are the
     fixed ``_LOW_ELEMENTS`` words, and every higher element is all ones or
     all zeros by one bit of the group index.  For n < 7 the single group
-    holds fewer than 64 colorings; its other slots are padding.
+    holds fewer than 64 colorings; its other slots are padding.  A chunk
+    holds the kernel budget's groups, ``_kernel_groups(n)``: 5,461 groups
+    (349,504 colorings) at n = 24.
 
     Every chunk is written into one buffer, so a chunk is valid only until
     the next is requested; a caller that keeps chunks copies them.  Freed
@@ -114,11 +114,12 @@ def _coloring_chunks(n: int) -> Iterator[tuple[np.ndarray, int]]:
     groups = -(-half // 64)
     low = min(n, 7)
     one = np.uint64(1)
-    buf = np.empty((n, min(_CHUNK, groups)), dtype=np.uint64)
+    step = min(_kernel_groups(n), groups)
+    buf = np.empty((n, step), dtype=np.uint64)
     buf[0] = ~np.uint64(0)
     buf[1:low] = _LOW_ELEMENTS[: low - 1, None]
-    for lo in range(0, groups, _CHUNK):
-        g = np.arange(lo, min(lo + _CHUNK, groups), dtype=np.uint64)
+    for lo in range(0, groups, step):
+        g = np.arange(lo, min(lo + step, groups), dtype=np.uint64)
         chunk = buf[:, : g.size]
         high = chunk[low:]
         np.right_shift(g, np.arange(n - low, dtype=np.uint64)[:, None], out=high)

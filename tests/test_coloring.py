@@ -661,13 +661,16 @@ class TestBitSliced:
     def test_enumerated_chunks_match_packed_rows(self, monkeypatch, groups_per_chunk):
         # the exact oracles build element-major chunks directly; they must
         # be the transpose of the one-word rows (y << 1) | 1 they enumerate
-        monkeypatch.setattr(probability, "_CHUNK", groups_per_chunk)
         for n in range(1, 17):
+            # a budget of groups_per_chunk groups of [1, n]
+            monkeypatch.setattr(coloring, "_KERNEL_WORDS", groups_per_chunk * n)
             y = np.arange(1 << (n - 1), dtype=np.uint64)
             rows = ((y << np.uint64(1)) | np.uint64(1)).reshape(-1, 1)
             # each chunk overwrites the one before, so keep copies
             chunks = [(x.copy(), c) for x, c in probability._coloring_chunks(n)]
             assert sum(count for _, count in chunks) == rows.shape[0]
+            groups = -(-rows.shape[0] // 64)
+            assert chunks[0][0].shape[1] == min(groups_per_chunk, groups)
             got = np.concatenate([x for x, _ in chunks], axis=1)
             valid = ~_padding(rows.shape[0])
             assert np.array_equal(got & valid, _bitsliced(rows, n)), n

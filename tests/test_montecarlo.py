@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apth import _philox, montecarlo
+from apth import _philox, coloring, montecarlo, probability
 from apth.errors import SearchCeilingError
 from apth.montecarlo import (
     ProbEstimate,
@@ -17,7 +18,12 @@ from apth.montecarlo import (
     threshold_search,
     wilson_interval,
 )
-from apth.probability import clump_threshold, exact_prob_mono, markov_upper
+from apth.probability import (
+    clump_threshold,
+    exact_prob_mono,
+    markov_upper,
+    mono_count_distribution,
+)
 from oracles import ap_tuples, estimate_driven_search, is_mono
 
 
@@ -133,7 +139,9 @@ class TestEstimateProb:
             )
             monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 1 << 18)
             assert estimate_prob(k, n, 12, 0).successes == expected.sum()
-            # five samples a range: the stages run per range, not per batch
+            # ranges of eight samples at the first stage's 15 words, and
+            # second-stage slices of five at n's 25: each range's misses
+            # reach the second stage in slices of their own
             monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 5 * n // 64)
             assert estimate_prob(k, n, 12, 0).successes == expected.sum()
 
@@ -243,6 +251,99 @@ class TestRanges:
         ref = estimate_prob(16, 1156, 600, 4)
         assert estimate_prob(16, 1156, 600, 4, workers=2) == ref
         assert estimate_prob(16, 1156, 600, 4, workers=3) == ref
+
+
+class TestKernelBudget:
+    # every batch producer sizes its kernel calls from one budget,
+    # coloring._KERNEL_WORDS, read at call time
+
+    @staticmethod
+    def _outputs():
+        return (
+            estimate_prob(16, 1600, 700, 5),
+            threshold_search(12, 0.5, 600, 3),
+            exact_prob_mono(5, 16),
+            mono_count_distribution(5, 16),
+        )
+
+    def test_small_budget_bounds_every_matrix(self, monkeypatch):
+        # a 4,096-word budget splits every producer's batches; no matrix
+        # passes max(budget, n) words, and no result changes
+        calls = []  # per kernel call: its matrix words and n
+
+        def counted(module, name):
+            kernel = getattr(module, name)
+
+            def wrapped(b, n, *args, **kwargs):
+                calls.append((b.size, n))
+                return kernel(b, n, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        for module, name in (
+            (coloring, "_any_mono"),
+            (probability, "_any_mono"),
+            (probability, "_mono_counts"),
+            (montecarlo, "_first_hits"),
+        ):
+            counted(module, name)
+        ref = self._outputs()
+        whole = len(calls)
+        assert max(words for words, _ in calls) > 4096
+        calls.clear()
+        monkeypatch.setattr(coloring, "_KERNEL_WORDS", 4096)
+        assert self._outputs() == ref
+        assert len(calls) > whole
+        assert all(words <= max(4096, n) for words, n in calls)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_second_stage_slices_keep_estimates(self, monkeypatch, workers):
+        # a 1,920-word budget lays ranges out at two groups of the first
+        # stage's [1, 960] and slices the second stage at one group of
+        # [1, 1600], so most ranges' misses take two slices; every thread
+        # count gets a share, and the count equals one pass on whole rows
+        k, n, samples, seed = 16, 1600, 700, 5
+        ids = np.arange(samples, dtype=np.uint64)
+        words = _philox.words(seed, ids, n // 64)
+        one_pass = int(montecarlo.batch_has_mono_ap(words, n, k).sum())
+        detected = []  # per detection call: its n and rows
+        detect = montecarlo.batch_has_mono_ap
+
+        def counted(rows, n, k):
+            detected.append((n, rows.shape[0]))
+            return detect(rows, n, k)
+
+        monkeypatch.setattr(montecarlo, "batch_has_mono_ap", counted)
+        monkeypatch.setattr(montecarlo, "_MIN_SHARE_BITS", 1)
+        monkeypatch.setattr(coloring, "_KERNEL_WORDS", 1920)
+        assert estimate_prob(k, n, samples, seed, workers=workers).successes == one_pass
+        first = [rows for m, rows in detected if m == 960]
+        second = [rows for m, rows in detected if m == n]
+        assert max(first) == min(128, -(-samples // workers))
+        assert max(second) == 64
+        assert len(second) > len(first)
+
+    def test_two_workers_split_the_simulate_batch(self, monkeypatch):
+        # estimate_prob(20, 4700, 5000): ranges are laid out at the first
+        # stage's [1, 1216], where one range holds the whole batch, but
+        # threads are engaged by samples x n, so two workers take half each
+        ranges, threads = [], set()
+        count_hits = montecarlo._count_hits
+
+        def counted(k, n, head, seed, lo, hi):
+            ranges.append((lo, hi))
+            threads.add(threading.get_ident())
+            return count_hits(k, n, head, seed, lo, hi)
+
+        ref = estimate_prob(20, 4700, 5000, 1)
+        monkeypatch.setattr(montecarlo, "_count_hits", counted)
+        assert estimate_prob(20, 4700, 5000, 1) == ref
+        assert ranges == [(0, 5000)]
+        ranges.clear()
+        threads.clear()
+        assert estimate_prob(20, 4700, 5000, 1, workers=2) == ref
+        assert sorted(ranges) == [(0, 2500), (2500, 5000)]
+        assert threading.get_ident() not in threads
 
 
 class TestThresholdSearch:

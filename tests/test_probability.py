@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apth import probability
+from apth import coloring, probability
 from apth.errors import BruteForceCapError
 from apth.family import APFamily, large_diff_family
 from apth.probability import (
@@ -273,7 +273,7 @@ class TestChunkedEnumeration:
     def test_many_chunks_match_naive(self, monkeypatch, k, n):
         # dozens of one-group (64-coloring) chunks: every chunk boundary
         # must neither drop nor repeat a coloring
-        monkeypatch.setattr(probability, "_CHUNK", 1)
+        monkeypatch.setattr(coloring, "_KERNEL_WORDS", n)
         assert exact_prob_mono(k, n) == naive_prob_mono(k, n)
         assert mono_count_distribution(k, n).counts == naive_distribution(k, n)
         fam = large_diff_family(k, n)
@@ -284,7 +284,7 @@ class TestChunkedEnumeration:
         # 32 groups in chunks of 3: the last chunk has 2 groups, is a view
         # of the chunk buffer, and counts and detects in views of the
         # scratch sized for the first
-        monkeypatch.setattr(probability, "_CHUNK", 3)
+        monkeypatch.setattr(coloring, "_KERNEL_WORDS", 3 * 12)
         assert mono_count_distribution(3, 12).counts == naive_distribution(3, 12)
         assert exact_prob_mono(3, 12) == naive_prob_mono(3, 12)
 
