@@ -480,6 +480,14 @@ def _selftest_checks():
             ).random_raw(11)
             got = _philox.words(seed, np.array([sid], dtype=np.uint64), 11)[0]
             assert np.array_equal(ref, got)
+        # words 3..1003 are blocks 0..250, so 32 rows fill a tile and
+        # this batch of 40 spans two
+        batch = _philox.words(7, np.arange(40, dtype=np.uint64), 1001, first_word=3)
+        for sid in (0, 31, 32, 39):
+            ref = np.random.Philox(
+                key=np.array([7, sid], dtype=np.uint64)
+            ).random_raw(1004)[3:]
+            assert np.array_equal(ref, batch[sid])
 
     def estimate_worker_invariance():
         a = estimate_prob(3, 12, 5000, 5, workers=1)

@@ -312,6 +312,10 @@ def _padding(samples: int) -> np.ndarray:
     return pad
 
 
+#: Words per row of the first level of ``_any_mono``'s AND reduce.
+_REDUCE_WORDS = 2048
+
+
 def _breaks(b: np.ndarray, d: int, k: int, buf: np.ndarray) -> np.ndarray:
     """Bit s of row i is clear iff elements i+1, i+1+d, ..., i+1+(k-1)d are
     one color in sample s, for the n-(k-1)d starts of difference d.
@@ -338,20 +342,41 @@ def _any_mono(b: np.ndarray, n: int, k: int, samples: int) -> np.ndarray:
     """Per 64-sample group of the element-major ``b``, the bits of those of
     its first ``samples`` samples with a monochromatic k-AP in [1, n].
 
-    The whole matrix is scanned for each d until every bit is set.  The
-    padding slots start out set, so they never prolong the scan, and are
-    cleared from the result.  Samples that hit early are not dropped from
-    the scan: callers whose samples mostly hit early detect on a prefix
-    first (see ``apth.montecarlo``).
+    The whole matrix is scanned for each d until no sample is left alive,
+    that is without a hit: a sample stays alive while its bit is set in
+    every break row.  The padding slots start out dead, so they never
+    prolong the scan, and are cleared from the result.  Samples that hit
+    early are not dropped from the scan: callers whose samples mostly hit
+    early detect on a prefix first (see ``apth.montecarlo``).
+
+    Each d's break rows are ANDed in two levels.  Their first q*r rows,
+    read as one contiguous (q, r*groups) matrix, reduce along rows of
+    about ``_REDUCE_WORDS`` words; the fewer than r rows left are ANDed
+    into the first rows of that result, and a short reduce of its r rows
+    finishes.  A plain reduce of a narrow chain would loop over only
+    ``groups`` words at a time.  Past ``_REDUCE_WORDS`` / 2 groups, r is
+    1 and the plain reduce is kept.
     """
+    groups = b.shape[1]
     pad = _padding(samples)
-    found = pad.copy()
+    alive = ~pad
     buf = np.empty_like(b)
+    r = max(1, _REDUCE_WORDS // max(groups, 1))
+    part = np.empty(r * groups, dtype=np.uint64)
     for d in range(1, (n - 1) // (k - 1) + 1):
-        found |= ~np.bitwise_and.reduce(_breaks(b, d, k, buf), axis=0)
-        if (found == _FULL_WORD).all():
+        chain = _breaks(b, d, k, buf)
+        q = chain.shape[0] // r
+        if r > 1 and q:
+            np.bitwise_and.reduce(
+                chain[: q * r].reshape(q, r * groups), axis=0, out=part
+            )
+            rest = chain[q * r :].reshape(-1)
+            part[: rest.size] &= rest
+            chain = part.reshape(r, groups)
+        alive &= np.bitwise_and.reduce(chain, axis=0)
+        if not alive.any():
             break
-    return found ^ pad
+    return ~alive ^ pad
 
 
 def _carry_save(

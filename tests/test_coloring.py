@@ -141,6 +141,59 @@ class TestRandomStream:
             )
 
 
+def _numpy_words(seed: int, sid: int, nwords: int, first_word: int) -> np.ndarray:
+    """Words [first_word, first_word+nwords) of stream (seed, sid), read
+    from ``numpy.random.Philox`` started at the block holding first_word:
+    with counter c its first block is the one at counter c+1."""
+    block, skip = divmod(first_word, 4)
+    gen = np.random.Philox(
+        key=np.array([seed, sid], dtype=np.uint64),
+        counter=np.array([block, 0, 0, 0], dtype=np.uint64),
+    )
+    return gen.random_raw(skip + nwords)[skip:]
+
+
+class TestPhiloxTiles:
+    # _philox.words generates its batch in tiles of rows; every stream must
+    # still be numpy's Philox word for word, wherever the tiles fall
+
+    _TOP = (1 << 64) - 1
+
+    def _check(self, seed, ids, nwords, first_word):
+        got = _philox.words(seed, np.array(ids, dtype=np.uint64), nwords, first_word)
+        assert got.shape == (len(ids), nwords) and got.dtype == np.uint64
+        for row, sid in zip(got, ids):
+            assert np.array_equal(
+                row, _numpy_words(seed, sid, nwords, first_word)
+            ), (seed, sid, nwords, first_word)
+
+    @pytest.mark.parametrize("seed", [0, _TOP])
+    @pytest.mark.parametrize("first_word", [0, 1, 2, 3, 1 << 40])
+    def test_extreme_keys_and_offsets(self, seed, first_word):
+        ids = [0, 1, 12345, self._TOP - 2, self._TOP - 1, self._TOP]
+        for nwords in (1, 3, 4, 9):
+            self._check(seed, ids, nwords, first_word)
+
+    def test_empty_batches(self):
+        self._check(5, [], 7, 2)
+        self._check(5, [3, 4], 0, 2)
+        assert _philox.words(5, np.zeros(0, dtype=np.uint64), 0).shape == (0, 0)
+
+    @pytest.mark.parametrize("tile_blocks", [1, 2, 3, 5])
+    def test_rows_straddle_tiles(self, monkeypatch, tile_blocks):
+        # tiles of a few blocks: up to 5 rows of one block per tile, rows of
+        # several blocks one to a tile, and rows wider than a tile
+        monkeypatch.setattr(_philox, "_TILE_BLOCKS", tile_blocks)
+        ids = [7, 0, self._TOP, 99, 3, 1 << 63, 42]
+        for nwords, first_word in ((1, 0), (4, 4), (5, 3), (11, 2), (30, 1)):
+            self._check(2**64 - 1, ids, nwords, first_word)
+
+    def test_large_batch_spans_tiles(self):
+        # 40 rows of 251 blocks: 32 rows to a tile, the last tile short
+        ids = list(range(1000, 1040))
+        self._check(9, ids, 1001, 3)
+
+
 class TestRandomColoring:
     def test_deterministic_for_fixed_key(self):
         a = random_coloring(100, RandomStream(42, 7))
@@ -465,22 +518,26 @@ def _bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :n].view(bool)
 
 
-def _scan_has_mono(bits: np.ndarray, k: int) -> np.ndarray:
-    """Per row of (rows, n) booleans, whether some k-AP is one color: a
-    direct scan over every (start, d), with no chains and no bit-slicing."""
+def _first_mono_d(bits: np.ndarray, k: int) -> np.ndarray:
+    """Per row of (rows, n) booleans, the smallest d of a monochromatic
+    k-AP, or 0 if it has none: a direct scan over every (start, d), with
+    no chains and no bit-slicing, which stops once every row has one."""
     n = bits.shape[1]
-    found = np.zeros(bits.shape[0], dtype=bool)
+    first = np.zeros(bits.shape[0], dtype=int)
     for d in range(1, (n - 1) // (k - 1) + 1):
         steps = np.arange(n - (k - 1) * d)[:, None] + d * np.arange(k)
         vals = bits[:, steps]
-        found |= (vals.all(axis=2) | ~vals.any(axis=2)).any(axis=1)
-    return found
+        mono = (vals.all(axis=2) | ~vals.any(axis=2)).any(axis=1)
+        first[(first == 0) & mono] = d
+        if first.all():
+            break
+    return first
 
 
 def _mono_end_range(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of (rows, n) booleans, the first and the last element at
     which one of its monochromatic k-APs ends (n + 1 and 0 if it has
-    none), by the direct scan of ``_scan_has_mono``."""
+    none), by the direct scan of ``_first_mono_d``."""
     n = bits.shape[1]
     first = np.full(bits.shape[0], n + 1)
     last = np.zeros(bits.shape[0], dtype=int)
@@ -623,7 +680,7 @@ class TestBitSliced:
             has = batch_has_mono_ap(words, n, k)
             counts = batch_count_mono_aps(words, n, k)
             assert has.shape == counts.shape == (rows,)
-            assert has.tolist() == _scan_has_mono(bits, k).tolist()
+            assert has.tolist() == (_first_mono_d(bits, k) > 0).tolist()
             assert has.tolist() == (counts > 0).tolist()
             # any memory layout of the rows reads the same
             strided = np.asfortranarray(words)
@@ -688,6 +745,52 @@ class TestBitSliced:
                 ])
                 assert has.tolist() == batch_has_mono_ap(rows, n, k).tolist()
                 assert counts.tolist() == batch_count_mono_aps(rows, n, k).tolist()
+
+
+class TestAnyMonoSplit:
+    # _any_mono ANDs each chain down its rows in two levels: q full blocks
+    # of r rows as one (q, r * groups) matrix, then fewer than r rows left,
+    # with r = _REDUCE_WORDS // groups; at r = 1 it is one plain reduce
+
+    _random_words = TestBatchKernel._random_words
+
+    @pytest.mark.parametrize("n, k, groups, qs", [
+        # r = 2048: q = 1 while the scan lasts
+        (2200, 12, 1, {1}),
+        # r = 75: q = 2, then 1, then 0 as the chains shorten
+        (200, 10, 27, {0, 1, 2}),
+        # r = 6: q from 8 down to 0, 18 rows at d = 6 split evenly
+        (60, 8, 300, {0, 1, 3, 4, 5, 6, 7, 8}),
+        # r = 1: one plain reduce of the chain's 17 to 2 rows
+        (20, 4, 2050, {17, 14, 11, 8, 5, 2}),
+    ])
+    def test_matches_direct_scan(self, monkeypatch, n, k, groups, qs):
+        scanned, seen = [], set()
+        r = max(1, coloring._REDUCE_WORDS // groups)
+
+        def breaks(b, d, k, buf):
+            chain = _breaks(b, d, k, buf)
+            scanned.append(d)
+            seen.add(chain.shape[0] // r)
+            return chain
+
+        monkeypatch.setattr(coloring, "_breaks", breaks)
+        samples = 64 * groups - 5
+        words = self._random_words(n + groups, samples, n)
+        found = _any_mono(_bitsliced(words, n), n, k, samples)
+        got = np.unpackbits(found.view(np.uint8), count=64 * groups, bitorder="little")
+        first = _first_mono_d(_bits(words, n), k)
+        assert got[:samples].astype(bool).tolist() == (first > 0).tolist()
+        assert not got[samples:].any()
+        # the scan stops at the d where the last sample first hits, or
+        # runs through every d if some sample never does
+        stop = first.max() if first.all() else (n - 1) // (k - 1)
+        assert scanned == list(range(1, stop + 1))
+        assert seen == qs
+        if n <= 200:
+            for i in range(8):
+                bits = int.from_bytes(words[i].astype("<u8").tobytes(), "little")
+                assert bool(got[i]) == naive_has_mono(bits, k, n), i
 
 
 def _unpacked(words: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import statistics
 import sys
 import threading
 from fractions import Fraction
@@ -47,6 +48,24 @@ class TestWilson:
         lo, hi = wilson_interval(50, 50)
         assert hi == 1.0
         assert lo == pytest.approx(0.025 ** (1 / 50))
+
+    @pytest.mark.parametrize("successes, samples", [
+        (1, 2), (1, 10), (13, 500), (30, 100), (250, 500), (499, 500),
+        (2120, 5000), (7, 64000), (63993, 64000),
+    ])
+    def test_interior_endpoints_match_reference(self, successes, samples):
+        # the score interval restated in its closed form, with z from the
+        # stdlib's normal quantile: every digit of every printed ci_low and
+        # ci_high depends on z
+        z = statistics.NormalDist().inv_cdf(0.975)
+        p = successes / samples
+        root = z * math.sqrt(z * z + 4 * samples * p * (1 - p))
+        scale = 2 * (samples + z * z)
+        lo = (2 * successes + z * z - root) / scale
+        hi = (2 * successes + z * z + root) / scale
+        assert wilson_interval(successes, samples) == (
+            pytest.approx(lo, rel=1e-12), pytest.approx(hi, rel=1e-12)
+        )
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
