@@ -19,8 +19,9 @@ ufunc calls.  Streams are generated in tiles of rows holding about
 ``_TILE_BLOCKS`` blocks, and every call of a round writes into scratch
 allocated once per ``words()`` call, so a round's operands stay in L2
 however large the batch.  Round 0's products depend on the counter alone
-(its lanes c1..c3 are 0, as no stream reaches 2^66 words), so they are
-taken once, on the block counters, for every tile.
+(its lanes c1..c3 are 0: a stream ends at the last block whose counter
+fits c0, word 4(2^64 - 1) - 1), so they are taken once, on the block
+counters, for every tile.
 """
 
 from __future__ import annotations
@@ -91,11 +92,16 @@ def words(
     """Words [first_word, first_word+nwords) of each (seed, id) stream.
 
     ``stream_ids`` is a 1-d uint64 array of m stream ids; the result has
-    shape (m, nwords).
+    shape (m, nwords).  Words past the end of a stream are refused.
     """
     check_u64(seed, "seed")
     if nwords < 0 or first_word < 0:
         raise ValueError("word positions must be nonnegative")
+    if first_word + nwords > _WORDS_PER_BLOCK * (_U64 - 1):
+        raise ValueError(
+            f"a stream ends at word 4*(2^64-1)-1 = {_WORDS_PER_BLOCK * (_U64 - 1) - 1}, "
+            "the last whose block counter fits 64 bits"
+        )
     ids = np.ascontiguousarray(stream_ids, dtype=np.uint64)
     m = ids.shape[0]
     if nwords == 0 or m == 0:

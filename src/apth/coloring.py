@@ -224,14 +224,16 @@ _TRANSPOSE8 = tuple(
 
 
 #: Words of the element-major matrix one direct detection call may build
-#: (128 MB; the kernel's scratch takes as much again).  One coloring at the
-#: Monte Carlo row limit, 64 * 2^18 elements, fills it exactly.
+#: (128 MB; the kernel's scratch takes as much again).  One 64-sample group
+#: of [1, 2^24] fills it exactly, so it is also the widest n that
+#: ``montecarlo`` samples and the default ceiling of a threshold search.
 _MATRIX_WORDS = 1 << 24
 
 
 #: Words of the element-major matrix that apth's own batch producers (the
 #: Monte Carlo ranges and second-stage slices, the exact oracles' chunks)
-#: hand to one kernel call (1 MB).  The kernel's scratch comes on top, so
+#: hand to one kernel call (1 MB); a Monte Carlo range's generated words
+#: fit it too.  The kernel's scratch comes on top, so
 #: matrix and scratch fit a 2 MB L2 and the doubling passes of ``_breaks``
 #: need not stream from L3.  One 64-sample group of [1, n] may pass it.
 _KERNEL_WORDS = 1 << 17

@@ -51,10 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _philox
+from . import _philox, coloring
 from .coloring import (
     WORD_BITS,
     _bitsliced,
+    _check_matrix,
     _first_hits,
     _kernel_groups,
     _word_count,
@@ -64,39 +65,11 @@ from .errors import SearchCeilingError
 from .progressions import _check_k, _check_n
 from .probability import threshold_scale_lower
 
-#: Word budget per generation buffer (2 MB), which bounds the words a
-#: range generates at once whatever n is; the matrices a range detects on
-#: are capped by the kernel budget (``coloring._KERNEL_WORDS``) instead.
-#: Ranges never influence results: sample i is keyed by its absolute index.
-_CHUNK_WORDS = 1 << 18
-
-
 #: Word budget of a threshold search's word store (8 MB).  Each of the m
 #: samples of the search keeps at most ``_STORE_WORDS // m`` words of its
 #: stream; words past that column are generated at every point that
 #: needs them.
 _STORE_WORDS = 1 << 20
-
-
-def _max_n() -> int:
-    """Widest coloring a generation buffer holds, and the default ceiling
-    of a threshold search, so a runaway search stops with
-    SearchCeilingError before the estimates refuse the row width.
-    ``_CHUNK_WORDS`` is read at call time, so tests can shrink it."""
-    return WORD_BITS * _CHUNK_WORDS
-
-
-def _chunk_size(nwords: int) -> int:
-    """Rows per generation buffer: as many as fit in ``_CHUNK_WORDS``, down
-    to one, and at most 16384.  A row larger than the whole budget is
-    refused, so the buffer stays bounded whatever n is."""
-    rows = min(16384, _CHUNK_WORDS // nwords)
-    if rows < 1:
-        raise ValueError(
-            f"a coloring of {nwords} words exceeds the {_CHUNK_WORDS}-word "
-            f"generation buffer; n must be at most {_max_n()}"
-        )
-    return rows
 
 
 def _ranges(samples: int, chunk: int, workers: int) -> list[tuple[int, int]]:
@@ -117,9 +90,12 @@ _MIN_SHARE_BITS = 1 << 22
 
 
 def _range_rows(n: int) -> int:
-    """Rows of colorings of [1, n] per range: a generation buffer's
-    ``_chunk_size``, and at most the kernel budget's 64-sample groups."""
-    return min(_chunk_size(_word_count(n)), WORD_BITS * _kernel_groups(n))
+    """Rows of colorings of [1, n] per range: whole 64-sample groups, as
+    many as keep the words generated for them within the kernel budget
+    (``coloring._KERNEL_WORDS``), and at least one group.  Their matrix,
+    n words a group, then fits it too.  Ranges never influence results:
+    sample i is keyed by its absolute index."""
+    return WORD_BITS * _kernel_groups(WORD_BITS * _word_count(n))
 
 
 def _batch_ranges(
@@ -332,7 +308,7 @@ def estimate_prob(
     _check_k(k)
     _check_n(n)
     _check_run(samples, seed, workers)
-    _chunk_size(_word_count(n))  # refuse a row wider than a generation buffer
+    _check_matrix(n, WORD_BITS)  # refuse a row wider than one group's matrix
     head = min(n, WORD_BITS * (k - 1))
     with _runner(workers) as run:
         counts = run(
@@ -372,8 +348,9 @@ def threshold_search(
     points kept (see the module docstring).  A budget doubling detects
     its new samples once, at the bracket's hi.  The trace holds exactly the
     ``estimate_prob`` results the points would give.  ``ceiling``, at
-    least 1, defaults to ``_max_n()``, the widest coloring a generation
-    buffer holds.
+    least 1, defaults to ``coloring._MATRIX_WORDS``, the widest coloring
+    whose one-group matrix the detection budget admits, so a runaway
+    search stops with SearchCeilingError before its estimates refuse n.
 
     Every point runs on one pool of ``workers`` threads; results never
     depend on ``workers``.
@@ -461,7 +438,7 @@ def _search(
     holds of each sample (see ``scaling_report`` for what it may hold on
     entry)."""
     if ceiling is None:
-        ceiling = _max_n()
+        ceiling = coloring._MATRIX_WORDS
     seed = known.seed
     cache: dict[tuple[int, int], ProbEstimate] = {}
     known.hit_from[:] = _NO_HIT
@@ -476,7 +453,7 @@ def _search(
 
     def successes(n: int, m: int) -> int:
         """How many of the first m samples hit on [1, n], detecting the undecided."""
-        _chunk_size(_word_count(n))  # refuse what estimate_prob refuses
+        _check_matrix(n, WORD_BITS)  # refuse what estimate_prob refuses
         ids = np.flatnonzero((known.miss_to[:m] < n) & (n < known.hit_from[:m]))
         if ids.size:
             if known.store.shape[1] < known.columns(n):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from apth import __version__, cli, montecarlo
+from apth import __version__, cli, coloring
 from apth.cli import (
     main,
     read_record,
@@ -231,9 +231,11 @@ class TestSweepAndReport:
         assert err.startswith("error: 2:")
 
     def test_default_ceiling_stops_before_row_limit(self, capsys, monkeypatch):
-        # a 4-word budget stands in for the 2^18-word one: without --ceiling
-        # a runaway search reports the ceiling (4), not a row too wide (2)
-        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 4)
+        # a 256-word matrix budget stands in for the 2^24-word one (and a
+        # kernel budget no larger): without --ceiling a runaway search
+        # reports the ceiling (4), not a row too wide (2)
+        monkeypatch.setattr(coloring, "_MATRIX_WORDS", 256)
+        monkeypatch.setattr(coloring, "_KERNEL_WORDS", 256)
         code, out, err = run(capsys, "sweep", "--k", "12", "--target", "0.9",
                              "--samples", "200", "--seed", "3")
         assert code == 4 and out == ""
@@ -330,12 +332,24 @@ class TestErrorDiscipline:
         assert code == 2 and "samples must be >= 1, got -4" in err
 
     def test_row_beyond_buffer_is_usage_error(self, capsys, monkeypatch):
-        # a 4-word budget stands in for an n too wide for the real one
-        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 4)
+        # a 256-word matrix budget stands in for an n too wide for the
+        # real one
+        monkeypatch.setattr(coloring, "_MATRIX_WORDS", 256)
+        monkeypatch.setattr(coloring, "_KERNEL_WORDS", 256)
         code, out, err = run(capsys, "simulate", "--k", "3", "--n", "300",
                              "--samples", "10")
         assert code == 2 and out == ""
-        assert "generation buffer" in err
+        assert "above the 256-word budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--k", "3", "--n", str((1 << 24) + 1), "--samples", "1"],
+        # k = 48 starts its search at n = 29,058,990, past the row limit
+        ["sweep", "--k", "48", "--samples", "10", "--ceiling", str(1 << 25)],
+    ])
+    def test_row_past_the_matrix_budget_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: 2:") and "16777216-word budget" in err
 
 
 @pytest.mark.parametrize(

@@ -193,6 +193,25 @@ class TestPhiloxTiles:
         ids = list(range(1000, 1040))
         self._check(9, ids, 1001, 3)
 
+    @pytest.mark.parametrize("tile_blocks", [1, 1 << 13])
+    def test_last_words_of_a_stream(self, monkeypatch, tile_blocks):
+        # a stream ends with the block at counter 2^64 - 1, the largest the
+        # counter's first lane holds: word 4(2^64 - 1) - 1
+        monkeypatch.setattr(_philox, "_TILE_BLOCKS", tile_blocks)
+        end = 4 * self._TOP
+        for nwords, first_word in ((1, end - 1), (4, end - 4), (3, end - 6), (9, end - 9)):
+            self._check(3, [0, 5, self._TOP], nwords, first_word)
+        assert _philox.words(3, np.array([5], dtype=np.uint64), 0, end).shape == (1, 0)
+
+    def test_words_past_the_last_are_refused(self):
+        end = 4 * self._TOP
+        ids = np.array([0, 5], dtype=np.uint64)
+        for nwords, first_word in ((1, end), (5, end - 4), (8, end - 4), (8, 1 << 66), (2, 1 << 70)):
+            with pytest.raises(ValueError, match=f"word 4\\*\\(2\\^64-1\\)-1 = {end - 1}"):
+                _philox.words(3, ids, nwords, first_word)
+        with pytest.raises(ValueError, match="2\\^64"):
+            RandomStream(1, 2).words_at((1 << 66) - 8, 8)
+
 
 class TestRandomColoring:
     def test_deterministic_for_fixed_key(self):
@@ -440,17 +459,29 @@ class TestMatrixBudget:
             assert _peak(lambda: _refused(fn, words, 1 << 24, 3)) < 1 << 20
 
     def test_budget_admits_one_coloring_at_the_row_limit(self):
-        assert coloring._MATRIX_WORDS == montecarlo._max_n()
+        assert coloring._MATRIX_WORDS == 1 << 24
         at_limit = np.broadcast_to(np.uint64(0), (64, 1 << 18))
         assert _peak(lambda: coloring._check_rows(at_limit, 1 << 24, 3)) < 1 << 20
         _refused(coloring._check_matrix, (1 << 24) + 1, 1)
         _refused(coloring._check_matrix, 1 << 24, 65)
 
     def test_monte_carlo_batches_fit_the_budget(self):
-        # a generation buffer of rows of w words, bit-sliced, fits the budget
-        for w in [*range(1, 1 << 18, 97), 1 << 18]:
-            rows = montecarlo._chunk_size(w)
-            assert 64 * w * -(-rows // 64) <= coloring._MATRIX_WORDS, w
+        # a Monte Carlo range of colorings of [1, n], computed without
+        # allocating it: whole groups, whose generated words and matrix fit
+        # the kernel budget unless one group alone passes it, and the
+        # matrix budget always
+        kernel, matrix = coloring._KERNEL_WORDS, coloring._MATRIX_WORDS
+        edges = {(1 << j) + e for j in range(25) for e in (-1, 0, 1)}
+        for n in sorted({*range(1, 1 << 24, 9973), *edges} - {0, (1 << 24) + 1}):
+            rows = montecarlo._range_rows(n)
+            groups, nwords = rows // 64, -(-n // 64)
+            assert rows > 0 and rows % 64 == 0, n
+            generated, built = rows * nwords, n * groups
+            if 64 * nwords <= kernel:
+                assert generated <= kernel and built <= kernel, n
+            else:
+                assert groups == 1, n
+            assert generated <= matrix and built <= matrix, n
 
 
 def _prefix(words: np.ndarray, n: int) -> np.ndarray:

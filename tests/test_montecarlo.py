@@ -145,24 +145,38 @@ class TestEstimateProb:
         assert in_prefix.any()
         assert (expected & ~in_prefix).any()
         assert (~expected).any()
-        # samples without a hit first, so the first sample of the second
+        # Ranges hold whole 64-sample groups, so the 12 colorings repeat
+        # over 260 samples.  First the samples without a hit, then those
+        # that hit only past [1, 960], so the first sample of the second
         # stage must come out False; then the reverse, so a second stage
-        # that detected the first samples of the range instead of its
-        # misses would count too many
-        for order in (np.argsort(expected, kind="stable"), np.argsort(~expected)):
-            rows = table[order]
+        # that detected the first samples of a range instead of its misses
+        # would count too many.
+        samples = 260
+        base = np.resize(np.arange(12), samples)
+        misses_first = base[np.lexsort((in_prefix[base], expected[base]))]
+        for order in (misses_first, misses_first[::-1]):
+            rows, want = table[order], expected[order].sum()
             monkeypatch.setattr(
                 _philox,
                 "words",
                 lambda seed, ids, count: rows[ids.astype(np.intp), :count].copy(),
             )
-            monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 1 << 18)
-            assert estimate_prob(k, n, 12, 0).successes == expected.sum()
-            # ranges of eight samples at the first stage's 15 words, and
-            # second-stage slices of five at n's 25: each range's misses
-            # reach the second stage in slices of their own
-            monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 5 * n // 64)
-            assert estimate_prob(k, n, 12, 0).successes == expected.sum()
+            assert estimate_prob(k, n, samples, 0).successes == want
+            # a 1,920-word kernel budget: ranges of two groups at the first
+            # stage's 15 words, and second-stage slices of one group at n's
+            # 25, so a range's more than 64 misses take two slices
+            monkeypatch.setattr(coloring, "_KERNEL_WORDS", 1920)
+            assert montecarlo._range_rows(960) == 128
+            assert montecarlo._range_rows(n) == 64
+            misses = [np.count_nonzero(~in_prefix[order][lo : lo + 128]) for lo in (0, 128)]
+            assert max(misses) > 64
+            assert estimate_prob(k, n, samples, 0).successes == want
+            # three workers, each given a share: ranges of 87 samples, not
+            # whole groups
+            monkeypatch.setattr(montecarlo, "_MIN_SHARE_BITS", 1)
+            assert montecarlo._batch_ranges(samples, n, 3, 960)[0] == (0, 87)
+            assert estimate_prob(k, n, samples, 0, workers=3).successes == want
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("k", [14, 16])
     def test_stages_match_one_pass(self, k):
@@ -215,30 +229,40 @@ class TestEstimateProb:
 
 
 class TestChunkBudget:
-    def test_sizes_up_to_512_words(self):
-        assert montecarlo._chunk_size(1) == 16384
-        assert montecarlo._chunk_size(16) == 16384
-        assert montecarlo._chunk_size(17) == (1 << 18) // 17
-        assert montecarlo._chunk_size(512) == 512
+    # a range's rows: whole 64-sample groups whose generated words fit the
+    # kernel budget, coloring._KERNEL_WORDS, read at call time
 
-    def test_shrinks_to_one_row_then_refuses(self):
-        assert montecarlo._chunk_size(513) == (1 << 18) // 513
-        assert montecarlo._chunk_size(1 << 18) == 1
-        with pytest.raises(ValueError, match="generation buffer"):
-            montecarlo._chunk_size((1 << 18) + 1)
+    def test_sizes_up_to_512_words(self):
+        for w in range(1, 513):
+            assert montecarlo._range_rows(64 * w) == 64 * ((1 << 11) // w), w
+        assert montecarlo._range_rows(1) == 1 << 17
+        assert montecarlo._range_rows(1168) == 6848  # 19 words, 107 groups
+
+    def test_shrinks_to_one_group_then_refuses(self):
+        assert montecarlo._range_rows(1 << 17) == 64
+        assert montecarlo._range_rows((1 << 17) + 1) == 64
+        assert montecarlo._range_rows(1 << 24) == 64
+        # refused before any word is generated
+        with pytest.raises(ValueError, match="16777216-word budget"):
+            estimate_prob(3, (1 << 24) + 1, 1, 0)
 
     def test_one_row_chunks_keep_estimates(self, monkeypatch):
-        # n=300 takes 5 words, so a 5-word budget leaves one sample a chunk
-        ref = estimate_prob(12, 300, 120, 3)
-        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 5)
-        assert montecarlo._chunk_size(5) == 1
-        assert estimate_prob(12, 300, 120, 3) == ref
-        assert estimate_prob(12, 300, 120, 3, workers=2) == ref
+        # one group a range under a 1-word budget, then one sample a range
+        # with as many workers as samples, each given a share
+        ref = estimate_prob(12, 300, 12, 3)
         assert 0 < ref.successes < ref.samples
+        monkeypatch.setattr(coloring, "_KERNEL_WORDS", 1)
+        assert montecarlo._range_rows(300) == 64
+        assert estimate_prob(12, 300, 12, 3) == ref
+        monkeypatch.setattr(montecarlo, "_MIN_SHARE_BITS", 1)
+        assert montecarlo._batch_ranges(12, 300, 12) == [(i, i + 1) for i in range(12)]
+        assert estimate_prob(12, 300, 12, 3, workers=12) == ref
 
     def test_tiny_budget_rejects_wide_rows(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 4)
-        with pytest.raises(ValueError, match="n must be at most 256"):
+        # the kernel budget must not pass the matrix budget
+        monkeypatch.setattr(coloring, "_MATRIX_WORDS", 256)
+        monkeypatch.setattr(coloring, "_KERNEL_WORDS", 256)
+        with pytest.raises(ValueError, match="256-word budget"):
             estimate_prob(12, 300, 10, 3)
         assert estimate_prob(3, 256, 10, 3).samples == 10
 
@@ -252,8 +276,10 @@ class TestRanges:
             ]
 
     def test_one_chunk_spreads_over_workers(self):
-        # estimate_prob(16, 1156, 8000): 19-word rows, one 13,797-row chunk
-        chunk = montecarlo._chunk_size(19)
+        # estimate_prob(16, 1156, 8000) lays its ranges out for the first
+        # stage's [1, 960]: 15-word rows, one 8,704-row chunk
+        chunk = montecarlo._range_rows(960)
+        assert chunk == 8704
         assert montecarlo._ranges(8000, chunk, 1) == [(0, 8000)]
         assert montecarlo._ranges(8000, chunk, 2) == [(0, 4000), (4000, 8000)]
         assert len(montecarlo._ranges(8000, chunk, 3)) == 3
@@ -444,15 +470,19 @@ class TestThresholdSearch:
         assert threshold_search(k, target, 300, 2026, workers=workers) == ref
 
     def test_capped_horizons_match(self, monkeypatch):
-        # a 4-word budget caps rows at n = 256, where doubling lands
-        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 4)
+        # a 256-word matrix budget caps rows at n = 256, where doubling
+        # lands; the kernel budget shrinks with it, as it must not pass it
+        monkeypatch.setattr(coloring, "_MATRIX_WORDS", 256)
+        monkeypatch.setattr(coloring, "_KERNEL_WORDS", 256)
         ref = estimate_driven_search(10, 0.95, 60, 1, ceiling=256)
         assert 256 in [n for n, _ in ref.trace]
         assert threshold_search(10, 0.95, 60, 1) == ref
 
     def test_default_ceiling_is_the_row_limit(self, monkeypatch):
-        assert montecarlo._max_n() == 1 << 24
-        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 4)
+        # the default ceiling reads the matrix budget at call time
+        assert coloring._MATRIX_WORDS == 1 << 24
+        monkeypatch.setattr(coloring, "_MATRIX_WORDS", 256)
+        monkeypatch.setattr(coloring, "_KERNEL_WORDS", 256)
         with pytest.raises(SearchCeilingError) as exc:
             threshold_search(12, 0.9, 200, 3)
         assert exc.value.ceiling == 256
