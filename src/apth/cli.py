@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto library operations and emit CSV or JSON
 (all numeric, header row, no quoting) to stdout or ``--out``.  Exit codes:
 
-* 0 success
-* 2 argument/usage error
+* 0 success, also when the reader closes stdout early (``| head -1``)
+* 2 argument/usage error, an ``--out`` that cannot be written included
 * 3 exact-enumeration cap exceeded
 * 4 threshold search ceiling exceeded
 
@@ -615,10 +615,14 @@ def _write(output: str | Iterable[str], out: str | None) -> None:
     if out is None:
         for chunk in chunks:
             sys.stdout.write(chunk)
-    else:
+        sys.stdout.flush()
+        return
+    try:
         with open(out, "w", newline="") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -634,6 +638,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {EXIT_USAGE}: {exc}\n")
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): end quietly, with stdout
+        # on devnull so that the interpreter's last flush cannot fail
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except _SelftestFailure as exc:
         _write(exc.text, args.out)
         sys.stderr.write(f"error: 1: {exc}\n")

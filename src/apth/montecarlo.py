@@ -38,7 +38,7 @@ k reads the same streams.  A monochromatic (k+1)-AP holds a monochromatic
 k-AP, its first k terms, so a sample known to miss at k on [1, n] misses
 at k+1 there too: each k starts from the words and known misses of the k
 below, and forgets only the hits.  ``scaling_report(8, 16, 0.5, 500, 1)``
-makes 51 Philox calls of 95,296 words, against 59 of 247,865 with every k
+makes 51 Philox calls of 90,490 words, against 59 of 247,865 with every k
 starting afresh.
 """
 
@@ -363,54 +363,44 @@ def threshold_search(
         return _search(k, target, samples, run, ceiling, _Samples(seed))
 
 
-#: ``hit_from`` of a sample not yet seen to hit.
-_NO_HIT = np.iinfo(np.int64).max
-
-
 class _Samples:
     """What a search knows of sample i, the coloring of stream (seed, i),
-    for every i below the rows it has grown to: sample i hits on [1, n]
-    for n >= hit_from[i] and misses for n <= miss_to[i], so hit_from[i]
-    is its first hit once miss_to[i] = hit_from[i] - 1; store[i, :have[i]]
-    are the first words of its stream.  The store holds at most
-    ``_STORE_WORDS`` words, shared among all the rows."""
+    for every i below the rows it has grown to: sample i misses on [1, n]
+    for n <= miss_to[i] and, if hit[i], hits for every larger n, so its
+    first hit is miss_to[i] + 1; store[i, :have[i]] are the first words of
+    its stream.  The store holds at most ``_STORE_WORDS`` words, shared
+    among all the rows."""
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
-        self.hit_from = np.empty(0, dtype=np.int64)
+        self.hit = np.empty(0, dtype=bool)
         self.miss_to = np.empty(0, dtype=np.int64)
         self.have = np.empty(0, dtype=np.int64)
         self.store = np.empty((0, 0), dtype=np.uint64)
 
-    def columns(self, n: int) -> int:
-        """The store's columns for [1, n]: all of its words, or as many as
-        the budget gives each row."""
-        return min(_word_count(n), _STORE_WORDS // self.miss_to.size)
-
     def grow(self, m: int, n: int) -> None:
-        """Give the per-sample arrays at least m rows, and the store the
-        words of [1, n] in each, or as many as its budget allows."""
-        new = max(0, m - self.miss_to.size)
-        self.hit_from = np.concatenate([self.hit_from, np.full(new, _NO_HIT)])
+        """Give the per-sample arrays at least m rows, and the store at least
+        the words of [1, n] a row; it narrows only to stay within its budget."""
+        rows = max(m, self.miss_to.size)
+        cols = min(max(self.store.shape[1], _word_count(n)), _STORE_WORDS // rows)
+        if (rows, cols) == self.store.shape:
+            return
+        new = rows - self.miss_to.size
+        self.hit = np.concatenate([self.hit, np.zeros(new, bool)])
         self.miss_to = np.concatenate([self.miss_to, np.full(new, -1, np.int64)])
-        cols = self.columns(n)
         self.have = np.minimum(np.concatenate([self.have, np.zeros(new, np.int64)]), cols)
         kept = min(cols, self.store.shape[1])
-        grown = np.empty((self.miss_to.size, cols), dtype=np.uint64)
+        grown = np.empty((rows, cols), dtype=np.uint64)
         grown[: self.store.shape[0], :kept] = self.store[:, :kept]
         self.store = grown
 
     def colorings(self, n: int, rows: np.ndarray) -> np.ndarray:
         """The words of the samples ``rows`` on [1, n], bits above n as drawn:
         their stored words up to the smallest stored length, then one
-        Philox call for the rest, whose stored columns are kept.  As
-        ``grow`` trims the store to the bracket's hi, the undecided samples
-        of a point mostly share one stored length; where they do not, the
-        words a sample stores past the smallest are generated again
-        (``threshold_search(16, 0.5, 494, 2)``: 1,733 of 78,834 words).
-        In a report, a sample that hit early at k stored only the words
-        that k needed (``scaling_report(8, 16, 0.5, 500, 1)``: 15,896 of
-        95,296 words)."""
+        Philox call for the rest, whose stored columns are kept.  The words
+        a sample stores past the smallest are generated again: in a report,
+        one that hit early at k stored only what k needed
+        (``scaling_report(8, 16, 0.5, 500, 1)``: 11,090 of 90,490 words)."""
         nw = _word_count(n)
         h = min(nw, int(self.have[rows].min()))
         words = np.empty((rows.size, nw), dtype=np.uint64)
@@ -441,7 +431,7 @@ def _search(
         ceiling = coloring._MATRIX_WORDS
     seed = known.seed
     cache: dict[tuple[int, int], ProbEstimate] = {}
-    known.hit_from[:] = _NO_HIT
+    known.hit[:] = False
 
     def detect(n: int, rows: np.ndarray) -> np.ndarray:
         """The first hits, or n + 1, of the undecided samples ``rows`` on
@@ -454,17 +444,15 @@ def _search(
     def successes(n: int, m: int) -> int:
         """How many of the first m samples hit on [1, n], detecting the undecided."""
         _check_matrix(n, WORD_BITS)  # refuse what estimate_prob refuses
-        ids = np.flatnonzero((known.miss_to[:m] < n) & (n < known.hit_from[:m]))
+        known.grow(m, n)
+        ids = np.flatnonzero(~known.hit[:m] & (known.miss_to[:m] < n))
         if ids.size:
-            if known.store.shape[1] < known.columns(n):
-                known.grow(m, n)
             first = np.concatenate(
                 run(lambda lo, hi: detect(n, ids[lo:hi]), ids.size, n)
             )
-            hit = first <= n
-            known.hit_from[ids[hit]] = first[hit]
+            known.hit[ids] = first <= n
             known.miss_to[ids] = first - 1
-        return int(np.count_nonzero(known.hit_from[:m] <= n))
+        return int(np.count_nonzero(known.hit[:m] & (known.miss_to[:m] < n)))
 
     def estimate(n: int, m: int) -> ProbEstimate:
         """The point (n, m), recorded once; the record is the trace."""
@@ -501,14 +489,9 @@ def _search(
 
     m = samples
     n0 = min(max(k, threshold_scale_lower(k, 1.0) // 4), ceiling)
-    # a store carried from a lower k keeps its columns, sized there to that
-    # k's bracket
-    known.grow(m, max(n0, WORD_BITS * known.store.shape[1]))
     lo, hi = bracket(n0, n0, m, lambda n: n // 2, lambda n: 2 * n)
     while m < 8 * samples and undecided(lo, m) and undecided(hi, m):
         m *= 2
-        # the store keeps each sample's words up to the bracket's hi
-        known.grow(m, hi)
         successes(hi, m)  # the new samples' first hits on [1, hi], in one detection
         # estimates move at the new budget: restore the bracket in steps
         lo, hi = bracket(lo, hi, m, lambda n: n - step(n), lambda n: n + step(n))

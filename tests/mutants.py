@@ -1,0 +1,165 @@
+"""Mutation harness: does tier-1 catch a one-line fault in each fast path?
+
+Each mutant below is one (file, old text, new text, reason) edit of
+``src/apth``.  The harness first runs tier-1 on an unmutated copy, which
+must pass; then, for each mutant, it copies ``src/apth`` to a temporary
+directory, makes the edit there and runs tier-1 on the copy with ``-x``.
+It prints one JSON line per mutant: killed (tier-1 failed) or survived,
+and the seconds taken.  An old text that does not occur exactly once is
+an error, so the list cannot silently drift from the code.  A survivor
+names a fault tier-1 cannot see: mend it with a test.
+
+Run from the repository root (it is not collected by pytest):
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "apth"
+
+#: A mutant that runs this long is counted as killed: tier-1 hung on it.
+TIMEOUT_S = 600
+
+MUTANTS = [
+    ("coloring.py",
+     "step = min(covered, k - 1 - covered)",
+     "step = covered",
+     "the doubling in _breaks overshoots the run"),
+    ("coloring.py",
+     "chain = _breaks(b[max(0, done - (k - 1) * d) :], d, k, buf)",
+     "chain = _breaks(b[max(0, done - (k - 1) * d) + 1 :], d, k, buf)",
+     "the resumed scan of _first_hits starts one row late"),
+    ("coloring.py",
+     "    for d in range(1, (n - 1) // (k - 1) + 1):\n"
+     "        chain = _breaks(b[max(0, done",
+     "    for d in range(1, (n - 1) // (k - 1)):\n"
+     "        chain = _breaks(b[max(0, done",
+     "_first_hits skips the largest d"),
+    ("coloring.py",
+     "if high <= top:",
+     "if high < top:",
+     "the plane histogram drops its top value"),
+    ("montecarlo.py",
+     "known.hit[:] = False",
+     "pass",
+     "the report's hit reset dropped: a report keeps hits across k"),
+    ("montecarlo.py",
+     "return 0.0, 1.0 - (_ALPHA / 2) ** (1.0 / samples)",
+     "return 0.0, 1.0 - _ALPHA ** (1.0 / samples)",
+     "Clopper-Pearson at zero made one-sided"),
+    ("montecarlo.py",
+     "threshold_scale_lower(k, 1.0) // 4)",
+     "threshold_scale_lower(k, 1.0) // 2)",
+     "the search's start point"),
+    ("montecarlo.py",
+     "return max(1, -(-n // 100))",
+     "return max(1, n // 100)",
+     "the search's step rounds down"),
+    ("probability.py",
+     "mid = min(top, n // k)",
+     "mid = min(top, n // k + 1)",
+     "_clump_runs counts d starts at one difference too many"),
+    ("family.py",
+     "keys += (starts * (n + 2))[:, None]",
+     "keys += (starts * (n + 1))[:, None]",
+     "the greedy's pair-key stride"),
+    ("_philox.py",
+     "_ROUNDS = 10",
+     "_ROUNDS = 9",
+     "Philox at 9 rounds"),
+    ("montecarlo.py",
+     "_Z95 = 1.959963984540054",
+     "_Z95 = 1.96",
+     "the Wilson z rounded to 1.96"),
+    ("coloring.py",
+     "planes = max(1, count_aps(k, n).bit_length())",
+     "planes = max(1, count_aps(k, n).bit_length() - 1)",
+     "the carry-save total loses its top weight"),
+    ("montecarlo.py",
+     "h = min(nw, int(self.have[rows].min()))",
+     "h = min(nw, int(self.have[rows].max()))",
+     "the store's have: a point reads the longest stored prefix"),
+    ("montecarlo.py",
+     "return [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]",
+     "return [(lo, min(lo + size - 1, samples)) for lo in range(0, samples, size)]",
+     "the _ranges split drops the last sample of each range"),
+    ("montecarlo.py",
+     "_hits(k, n, seed, misses[at : at + rows])",
+     "_hits(k, n, seed, misses[at + 1 : at + rows])",
+     "estimate_prob's stage-2 slice skips a miss"),
+    ("montecarlo.py",
+     "known.miss_to[ids] = first - 1",
+     "known.miss_to[ids] = first",
+     "a known miss recorded at the first hit itself"),
+    ("montecarlo.py",
+     "_word_count(n)), _STORE_WORDS // rows)",
+     "_word_count(n)), _STORE_WORDS)",
+     "the word store's columns without its budget cap"),
+]
+
+
+def _tier1(src: Path) -> bool:
+    """Whether tier-1 passes with ``src`` as the package's parent directory."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors", str(ROOT / "tests")]
+    try:
+        done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False
+    return done.returncode == 0
+
+
+def _copy(scratch: Path, mutant: tuple[str, str, str, str] | None) -> Path:
+    """A fresh copy of ``src/apth`` under ``scratch``, with ``mutant`` made."""
+    src = scratch / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(SRC, src / "apth", ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        name, old, new, reason = mutant
+        path = src / "apth" / name
+        text = path.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(
+                f"{name}: {reason}: old text occurs {text.count(old)} times, not once"
+            )
+        path.write_text(text.replace(old, new))
+    return src
+
+
+def main() -> int:
+    killed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        for mutant in MUTANTS:  # check every edit before the long runs
+            _copy(scratch, mutant)
+        if not _tier1(_copy(scratch, None)):
+            raise SystemExit("tier-1 fails on the unmutated copy")
+        for mutant in MUTANTS:
+            start = time.perf_counter()
+            survived = _tier1(_copy(scratch, mutant))
+            killed += not survived
+            print(json.dumps({
+                "file": mutant[0],
+                "reason": mutant[3],
+                "status": "survived" if survived else "killed",
+                "seconds": round(time.perf_counter() - start, 1),
+            }), flush=True)
+    print(f"{killed} of {len(MUTANTS)} mutants killed", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -462,6 +463,26 @@ class TestOutFile:
         run(capsys, *args, "--out", str(a))
         run(capsys, *args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("where", ["directory", "missing/x.json"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+        (tmp_path / "directory").mkdir()
+        path = tmp_path / where
+        code, out, err = run(capsys, "count", "--k", "3", "--n", "5",
+                             "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 2: cannot write --out: ")
+        assert err.count("\n") == 1 and str(path) in err
+
+    def test_closed_stdout_ends_quietly(self, capsys, monkeypatch):
+        # a reader that stops early (``| head -1``) closes the pipe
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["enumerate", "--k", "3", "--n", "3000"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestSelftest:

@@ -502,7 +502,13 @@ class TestThresholdSearch:
         assert threshold_search(12, 0.5, 600, 3) == ref
         assert started == [2]
 
-    def test_generates_each_word_once(self, monkeypatch):
+    @pytest.mark.parametrize("args, philox", [
+        ((12, 0.5, 600, 3), (7, 20107)),
+        # a store narrowed to the bracket's hi at a doubling would generate
+        # 1,733 of this search's words twice
+        ((16, 0.5, 494, 2), (8, 77101)),
+    ], ids=["k12", "k16"])
+    def test_generates_each_word_once(self, monkeypatch, args, philox):
         # points carry words: no (stream, word) pair is generated twice,
         # and a point below one already run at its budget (every bisection
         # midpoint) generates nothing
@@ -523,14 +529,13 @@ class TestThresholdSearch:
             pending.clear()
             return from_counts(cls, k, n, m, successes, seed)
 
-        ref = threshold_search(12, 0.5, 600, 3)
+        ref = threshold_search(*args)
         monkeypatch.setattr(_philox, "words", counted_words)
         monkeypatch.setattr(ProbEstimate, "from_counts", classmethod(counted_from_counts))
-        assert threshold_search(12, 0.5, 600, 3) == ref
+        assert threshold_search(*args) == ref
         pairs = [p for point in generated for p in point]
         assert len(pairs) == len(set(pairs))
-        # in 7 Philox calls of 20,107 words in all
-        assert (len(calls), sum(calls)) == (7, 20107)
+        assert (len(calls), sum(calls)) == philox
         below = [
             i for i, (n, e) in enumerate(ref.trace)
             if any(e2.samples == e.samples and n2 > n for n2, e2 in ref.trace[:i])
@@ -546,6 +551,30 @@ class TestThresholdSearch:
         for k, target in ((10, 0.5), (12, 0.95)):
             ref = estimate_driven_search(k, target, 300, 2026)
             assert threshold_search(k, target, 300, 2026) == ref
+
+    @pytest.mark.parametrize("store_words", [montecarlo._STORE_WORDS, 2400])
+    def test_store_narrows_only_for_its_budget(self, monkeypatch, store_words):
+        # the store stays within its budget after every resize, and loses
+        # columns only when its new rows would pass the budget at the old
+        # width, as 2,400 words force at the budget doublings of both a
+        # search and a report
+        monkeypatch.setattr(montecarlo, "_STORE_WORDS", store_words)
+        shrunk = []
+        grow = montecarlo._Samples.grow
+
+        def checked(self, m, n):
+            rows, cols = self.store.shape
+            grow(self, m, n)
+            assert self.store.size <= store_words
+            assert self.store.shape[0] >= max(rows, m)
+            if self.store.shape[1] < cols:
+                assert self.store.shape[0] * cols > store_words
+                shrunk.append((rows, cols))
+
+        monkeypatch.setattr(montecarlo._Samples, "grow", checked)
+        assert threshold_search(12, 0.5, 300, 5) == estimate_driven_search(12, 0.5, 300, 5)
+        scaling_report(8, 10, 0.5, 300, 5)
+        assert bool(shrunk) == (store_words == 2400)
 
     def test_split_ranges_keep_results(self, monkeypatch):
         # with every point split over the threads, each writes its own
@@ -738,7 +767,7 @@ class TestScalingReport:
         ref = scaling_report(8, 12, 0.5, 300, 5)
         monkeypatch.setattr(_philox, "words", counted_words)
         assert scaling_report(8, 12, 0.5, 300, 5) == ref
-        assert (len(calls), sum(calls)) == (24, 13156)
+        assert (len(calls), sum(calls)) == (24, 12798)
 
     def test_thresholds_track_the_declumped_first_moment(self):
         # n* sits at or just above the smallest n whose expected number
