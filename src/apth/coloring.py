@@ -13,13 +13,17 @@ of B[:-d] and B[d:]: a monochromatic k-AP of difference d is a run of k-1
 equal neighbours at stride d.  The run is found by doubling in O(log k)
 operations, and each operation shortens the chain, so the last one holds
 exactly the valid starts and no padding masks are needed.  Detection
-scans the whole matrix for each d and stops once every sample has hit;
-samples that hit early stay in the scan.
+scans the whole matrix for each d and stops once every sample has hit.
+Samples that hit early leave the scan: once at most half of the
+matrix's slots are live, the rows of the live samples alone are
+bit-sliced again into a narrower matrix, and the scan resumes at the next
+d on it.
 
-The Monte Carlo engine (which saves the work of early hits by detecting
-on a prefix first), the scalar ``Coloring`` API (a batch of one row) and
-the exact oracles (which build element-major chunks directly) all call
-this kernel, which has one path and three sinks for its chains.  Besides
+The Monte Carlo engine (which saves the generation of early hits by
+detecting on a prefix first), the scalar ``Coloring`` API (a batch of one
+row) and the exact oracles (which build element-major chunks directly,
+have no rows to slice again and scan them whole) all call this kernel,
+which has one path and three sinks for its chains.  Besides
 detection, it counts monochromatic k-APs per sample: the run rows of
 every d are summed column-wise by carry-save (3:2) adder layers into a
 total kept as bit planes, plane j holding bit j of 64 samples' counts.
@@ -340,16 +344,24 @@ def _breaks(b: np.ndarray, d: int, k: int, buf: np.ndarray) -> np.ndarray:
     return chain[:size]
 
 
-def _any_mono(b: np.ndarray, n: int, k: int, samples: int) -> np.ndarray:
+def _any_mono(
+    b: np.ndarray, n: int, k: int, samples: int, d: int = 1, *,
+    done: int = 0, halve: bool = False,
+) -> tuple[np.ndarray, int]:
     """Per 64-sample group of the element-major ``b``, the bits of those of
-    its first ``samples`` samples with a monochromatic k-AP in [1, n].
+    its first ``samples`` samples with a monochromatic k-AP in [1, n] of
+    difference d or more, and the next difference left to scan.
 
-    The whole matrix is scanned for each d until no sample is left alive,
-    that is without a hit: a sample stays alive while its bit is set in
-    every break row.  The padding slots start out dead, so they never
-    prolong the scan, and are cleared from the result.  Samples that hit
-    early are not dropped from the scan: callers whose samples mostly hit
-    early detect on a prefix first (see ``apth.montecarlo``).
+    Only the k-APs ending past element ``done`` are checked: for each d the
+    scan starts at row max(0, done - (k-1)d), as in ``_first_hits``, which
+    is exact for samples with none in [1, done].  The whole matrix is
+    scanned for each d until no sample is left alive, that is without a
+    hit: a sample stays alive while its bit is set in every break row.
+    The padding slots start out dead, so they never prolong the scan, and
+    are cleared from the result.  With ``halve``, on a matrix of more than
+    one group, the scan also stops once at most half of its slots are
+    alive, so that the caller can go on with the live samples alone on a
+    narrower matrix (see ``_has_mono``).
 
     Each d's break rows are ANDed in two levels.  Their first q*r rows,
     read as one contiguous (q, r*groups) matrix, reduce along rows of
@@ -365,8 +377,9 @@ def _any_mono(b: np.ndarray, n: int, k: int, samples: int) -> np.ndarray:
     buf = np.empty_like(b)
     r = max(1, _REDUCE_WORDS // max(groups, 1))
     part = np.empty(r * groups, dtype=np.uint64)
-    for d in range(1, (n - 1) // (k - 1) + 1):
-        chain = _breaks(b, d, k, buf)
+    halve = halve and groups > 1
+    while d <= (n - 1) // (k - 1):
+        chain = _breaks(b[max(0, done - (k - 1) * d) :], d, k, buf)
         q = chain.shape[0] // r
         if r > 1 and q:
             np.bitwise_and.reduce(
@@ -376,9 +389,15 @@ def _any_mono(b: np.ndarray, n: int, k: int, samples: int) -> np.ndarray:
             part[: rest.size] &= rest
             chain = part.reshape(r, groups)
         alive &= np.bitwise_and.reduce(chain, axis=0)
-        if not alive.any():
+        d += 1
+        # counting the live bits costs two ufunc calls a d, so only a scan
+        # that may stop for them counts them
+        if halve:
+            if 2 * int(np.bitwise_count(alive).sum()) <= WORD_BITS * groups:
+                break
+        elif not alive.any():
             break
-    return ~alive ^ pad
+    return ~alive ^ pad, d
 
 
 def _carry_save(
@@ -571,15 +590,45 @@ def batch_has_mono_ap(words: np.ndarray, n: int, k: int) -> np.ndarray:
     """Vectorized ``has_mono_ap`` over a (rows, words) matrix of colorings.
 
     Row r packs a coloring of [1, n] into ceil(n/64) little-endian words;
-    bits above n are ignored.  Returns a boolean vector.  Every row is
-    bit-sliced and scanned on all of [1, n] until all rows have hit; the
-    kernel drops no row that hits early, so callers that expect most rows
-    to hit early detect on a prefix first (see ``apth.montecarlo``).
+    bits above n are ignored.  Returns a boolean vector.  Rows that hit
+    early leave the scan (see ``_has_mono``), but each still costs its
+    ceil(n/64) words to generate, so callers that expect most rows to hit
+    early detect on a prefix first (see ``apth.montecarlo``).
     """
     _check_rows(words, n, k)
+    return _has_mono(words, n, k)
+
+
+def _has_mono(words: np.ndarray, n: int, k: int, done: int = 0) -> np.ndarray:
+    """``batch_has_mono_ap`` of checked arguments, skipping the k-APs that
+    end at or before element ``done`` (0 <= done < n): exact for rows with
+    no monochromatic k-AP in [1, done].
+
+    The rows are bit-sliced and scanned from d = 1.  Once at most half of
+    the matrix's slots are still live (no hit yet), the scan stops, the
+    live rows alone are bit-sliced again, and the scan resumes at the next
+    d on the narrower matrix, until no row is live or no d is left.  A
+    row's hit depends on that row alone, so the result is the same as one
+    scan of every row.
+    """
     rows = words.shape[0]
-    found = _any_mono(_bitsliced(words, n), n, k, rows)
-    return np.unpackbits(found.view(np.uint8), count=rows, bitorder="little").view(bool)
+    if n < k:
+        return np.zeros(rows, dtype=bool)
+    # no name holds a matrix past its scan, so each is freed before the
+    # next is built
+    found, d = _any_mono(_bitsliced(words, n), n, k, rows, done=done, halve=True)
+    hit = np.unpackbits(found.view(np.uint8), count=rows, bitorder="little").view(bool)
+    live = np.flatnonzero(~hit)
+    while live.size and d <= (n - 1) // (k - 1):
+        found, d = _any_mono(
+            _bitsliced(words[live], n), n, k, live.size, d, done=done, halve=True
+        )
+        got = np.unpackbits(
+            found.view(np.uint8), count=live.size, bitorder="little"
+        ).view(bool)
+        hit[live[got]] = True
+        live = live[~got]
+    return hit
 
 
 def batch_count_mono_aps(words: np.ndarray, n: int, k: int) -> np.ndarray:

@@ -13,7 +13,10 @@ scale in :mod:`apth.probability`), is what makes bisection on n sound.
 
 Estimates are staged on it: ``estimate_prob`` detects every sample on
 [1, 64(k-1)] first and generates [1, n] only for the samples that missed
-there, so past the threshold most rows are never generated whole.
+there, so past the threshold most rows are never generated whole.  The
+second stage knows that its samples miss on the first stage's prefix, so
+it scans only the k-APs that end past it.  Within each stage the kernel
+drops the samples that have hit as it goes (see ``apth.coloring``).
 
 The same prefix property lets ``threshold_search`` carry what it learns
 from point to point: a sample with a monochromatic k-AP in [1, n] has one
@@ -57,6 +60,7 @@ from .coloring import (
     _bitsliced,
     _check_matrix,
     _first_hits,
+    _has_mono,
     _kernel_groups,
     _word_count,
     batch_has_mono_ap,
@@ -252,22 +256,21 @@ class ScalingReport:
     seed: int
 
 
-def _hits(k: int, n: int, seed: int, ids: np.ndarray) -> np.ndarray:
-    """Which of the samples ``ids`` have a monochromatic k-AP in [1, n]."""
-    return batch_has_mono_ap(_philox.words(seed, ids, _word_count(n)), n, k)
-
-
 def _count_hits(k: int, n: int, head: int, seed: int, lo: int, hi: int) -> int:
     """Successes among samples lo..hi-1, detected in two stages: all of
     them on [1, head], then those that missed there on [1, n], in slices
-    of ``_range_rows(n)``."""
+    of ``_range_rows(n)``, scanning only the k-APs that end past head."""
+    # no name holds a batch's words, so each is freed before the next is
+    # generated
     ids = np.arange(lo, hi, dtype=np.uint64)
-    misses = ids[~_hits(k, head, seed, ids)]
+    misses = ids[~batch_has_mono_ap(_philox.words(seed, ids, _word_count(head)), head, k)]
     successes = ids.size - misses.size
     if head < n:
         rows = _range_rows(n)
         for at in range(0, misses.size, rows):
-            successes += int(np.count_nonzero(_hits(k, n, seed, misses[at : at + rows])))
+            ids = misses[at : at + rows]
+            hits = _has_mono(_philox.words(seed, ids, _word_count(n)), n, k, done=head)
+            successes += int(np.count_nonzero(hits))
     return successes
 
 

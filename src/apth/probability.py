@@ -195,7 +195,7 @@ def exact_prob_mono(k: int, n: int, cap: int | None = None) -> Fraction:
     hits = 0
     for x, count in _coloring_chunks(n):
         # the last chunk's padding slots past ``count`` are not reported
-        hits += int(np.bitwise_count(_any_mono(x, n, k, count)).sum())
+        hits += int(np.bitwise_count(_any_mono(x, n, k, count)[0]).sum())
     return Fraction(2 * hits, 1 << n)
 
 

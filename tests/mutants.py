@@ -37,9 +37,25 @@ MUTANTS = [
      "step = covered",
      "the doubling in _breaks overshoots the run"),
     ("coloring.py",
-     "chain = _breaks(b[max(0, done - (k - 1) * d) :], d, k, buf)",
-     "chain = _breaks(b[max(0, done - (k - 1) * d) + 1 :], d, k, buf)",
+     "chain = _breaks(b[max(0, done - (k - 1) * d) :], d, k, buf)\n"
+     "        ends[",
+     "chain = _breaks(b[max(0, done - (k - 1) * d) + 1 :], d, k, buf)\n"
+     "        ends[",
      "the resumed scan of _first_hits starts one row late"),
+    ("coloring.py",
+     "chain = _breaks(b[max(0, done - (k - 1) * d) :], d, k, buf)\n"
+     "        q = ",
+     "chain = _breaks(b[max(0, done - (k - 1) * d) + 1 :], d, k, buf)\n"
+     "        q = ",
+     "the stage-2 scan of _any_mono starts one row late"),
+    ("coloring.py",
+     "live = live[~got]",
+     "live = live",
+     "the live rows are not narrowed after a repack"),
+    ("coloring.py",
+     "return ~alive ^ pad, d\n",
+     "return ~alive ^ pad, d + 1\n",
+     "the scan resumes one d late after a repack"),
     ("coloring.py",
      "    for d in range(1, (n - 1) // (k - 1) + 1):\n"
      "        chain = _breaks(b[max(0, done",
@@ -95,8 +111,8 @@ MUTANTS = [
      "return [(lo, min(lo + size - 1, samples)) for lo in range(0, samples, size)]",
      "the _ranges split drops the last sample of each range"),
     ("montecarlo.py",
-     "_hits(k, n, seed, misses[at : at + rows])",
-     "_hits(k, n, seed, misses[at + 1 : at + rows])",
+     "ids = misses[at : at + rows]",
+     "ids = misses[at + 1 : at + rows]",
      "estimate_prob's stage-2 slice skips a miss"),
     ("montecarlo.py",
      "known.miss_to[ids] = first - 1",

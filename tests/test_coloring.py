@@ -732,9 +732,9 @@ class TestBitSliced:
 
         monkeypatch.setattr(coloring, "_breaks", breaks)
         words = np.zeros((70, 1), dtype=np.uint64)
-        found = _any_mono(_bitsliced(words, 5), 5, 3, 70)
+        found, d = _any_mono(_bitsliced(words, 5), 5, 3, 70)
         assert found.tolist() == [0xFFFFFFFFFFFFFFFF, (1 << 6) - 1]
-        assert scanned == [1]
+        assert scanned == [1] and d == 2
         planes = _mono_counts(_bitsliced(words, 5), 5, 3)
         assert _plane_values(planes, 70).tolist() == [4] * 70
 
@@ -765,7 +765,7 @@ class TestBitSliced:
             for k in range(3, 7):
                 has = np.concatenate([
                     np.unpackbits(
-                        _any_mono(x, n, k, count).view(np.uint8),
+                        _any_mono(x, n, k, count)[0].view(np.uint8),
                         count=count, bitorder="little",
                     )
                     for x, count in chunks
@@ -808,7 +808,7 @@ class TestAnyMonoSplit:
         monkeypatch.setattr(coloring, "_breaks", breaks)
         samples = 64 * groups - 5
         words = self._random_words(n + groups, samples, n)
-        found = _any_mono(_bitsliced(words, n), n, k, samples)
+        found, d = _any_mono(_bitsliced(words, n), n, k, samples)
         got = np.unpackbits(found.view(np.uint8), count=64 * groups, bitorder="little")
         first = _first_mono_d(_bits(words, n), k)
         assert got[:samples].astype(bool).tolist() == (first > 0).tolist()
@@ -816,12 +816,155 @@ class TestAnyMonoSplit:
         # the scan stops at the d where the last sample first hits, or
         # runs through every d if some sample never does
         stop = first.max() if first.all() else (n - 1) // (k - 1)
-        assert scanned == list(range(1, stop + 1))
+        assert scanned == list(range(1, stop + 1)) and d == stop + 1
         assert seen == qs
         if n <= 200:
             for i in range(8):
                 bits = int.from_bytes(words[i].astype("<u8").tobytes(), "little")
                 assert bool(got[i]) == naive_has_mono(bits, k, n), i
+
+
+class TestLiveRepack:
+    # batch_has_mono_ap scans d = 1, 2, ... on the bit-sliced rows; once at
+    # most half of the matrix's slots are live (no hit yet), it bit-slices
+    # the live rows alone again and resumes at the next d
+
+    _random_words = TestBatchKernel._random_words
+
+    @staticmethod
+    def _naive(words: np.ndarray, n: int, k: int) -> list[bool]:
+        return [
+            naive_has_mono(int.from_bytes(row.astype("<u8").tobytes(), "little"), k, n)
+            for row in words
+        ]
+
+    @staticmethod
+    def _counted_slices(monkeypatch) -> list[int]:
+        """Rows of every ``_bitsliced`` call from now on."""
+        sliced = []
+
+        def bitsliced(words, n):
+            sliced.append(words.shape[0])
+            return _bitsliced(words, n)
+
+        monkeypatch.setattr(coloring, "_bitsliced", bitsliced)
+        return sliced
+
+    @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 700])
+    def test_matches_naive_oracle(self, monkeypatch, rows):
+        # k = 7 on [1, 64]: about 60 % of the rows hit at d = 1 and most of
+        # the rest at d = 2 or 3, so 700 rows take several repacks
+        n, k = 64, 7
+        words = self._random_words(rows + 11, rows, n)
+        sliced = self._counted_slices(monkeypatch)
+        got = batch_has_mono_ap(words, n, k)
+        assert got.dtype == bool and got.shape == (rows,)
+        assert got.tolist() == self._naive(words, n, k)
+        if rows == 700:
+            assert len(sliced) >= 3 and sliced[0] == 700
+            # each repack takes the live rows, at most half of the slots
+            for before, after in zip(sliced, sliced[1:]):
+                assert 2 * after <= 64 * -(-before // 64)
+        elif rows <= 64:
+            # one group: nothing to gain from a repack
+            assert sliced == [rows]
+
+    def test_layouts_read_the_same(self):
+        # strided, Fortran-ordered and column-sliced rows, all with random
+        # bits above n
+        n, k = 60, 7
+        wide = _philox.words(3, np.arange(1400, dtype=np.uint64), 2)
+        words = wide[:, :1].copy()
+        want = self._naive(words, n, k)
+        for layout in (words, np.asfortranarray(words), wide[:, :1]):
+            assert batch_has_mono_ap(layout, n, k).tolist() == want
+        assert batch_has_mono_ap(wide[::2, :1], n, k).tolist() == want[::2]
+        assert batch_has_mono_ap(wide[::-3, :1], n, k).tolist() == want[::-3]
+
+    def test_no_difference_fits(self, monkeypatch):
+        # n < k: no d at all, so nothing is bit-sliced
+        sliced = self._counted_slices(monkeypatch)
+        words = self._random_words(2, 200, 6)
+        assert not batch_has_mono_ap(words, 6, 7).any()
+        assert sliced == []
+
+    def test_repack_after_the_last_d(self, monkeypatch):
+        # on [1, 13] k = 7 has d = 1 and 2 only.  100 rows hit at d = 2
+        # (the odd elements are red), 28 never do; 28 live of 128 slots
+        # would call for a repack, but no d is left, so none is made
+        n, k = 13, 7
+        odd = int("1010101010101"[::-1], 2)
+        free = int("1100110011001"[::-1], 2)
+        words = np.array([[odd]] * 100 + [[free]] * 28, dtype=np.uint64)
+        assert self._naive(words, n, k) == [True] * 100 + [False] * 28
+        sliced = self._counted_slices(monkeypatch)
+        scanned = []
+
+        def breaks(b, d, k, buf):
+            scanned.append((d, b.shape[1]))
+            return _breaks(b, d, k, buf)
+
+        monkeypatch.setattr(coloring, "_breaks", breaks)
+        assert batch_has_mono_ap(words, n, k).tolist() == [True] * 100 + [False] * 28
+        assert sliced == [128] and scanned == [(1, 2), (2, 2)]
+
+    def test_groups_follow_the_live_samples(self, monkeypatch):
+        # estimate_prob(10, 576, 2000, 1) is one range of 32 groups on the
+        # first stage's [1, 576], with no second stage.  Every sample hits
+        # by d = 14; after d = 1, 2, ... there are 1154, 716, 424, 268, 141,
+        # 93, 50, ... samples live, so the scan of each d reads 32 groups
+        # until at most half of the slots are live, then ceil(live / 64)
+        k, n, samples = 10, 576, 2000
+        want = [32, 32, 12, 12, 5, 3, 2] + [1] * 7
+        # the same, from each sample's first d, found by a direct scan
+        first = _first_mono_d(_bits(_philox.words(1, np.arange(samples), 9), n), k)
+        assert first.all() and first.max() == len(want)
+        live, groups = samples, 32
+        for d, g in enumerate(want, 1):
+            assert g == groups, d
+            live -= np.count_nonzero(first == d)
+            if groups > 1 and 2 * live <= 64 * groups:
+                groups = -(-live // 64)
+        scanned = []
+
+        def breaks(b, d, k, buf):
+            scanned.append(b.shape[1])
+            return _breaks(b, d, k, buf)
+
+        monkeypatch.setattr(coloring, "_breaks", breaks)
+        est = montecarlo.estimate_prob(k, n, samples, 1)
+        assert est.successes == np.count_nonzero(first)
+        assert scanned == want
+        # a scan that kept all 32 groups would read 4.3x the words
+        assert 32 * len(want) == 448 and sum(want) == 105
+
+    @pytest.mark.parametrize("done", [6, 30, 63])
+    def test_resumed_scan_matches_naive_oracle(self, monkeypatch, done):
+        # rows with no monochromatic 7-AP in [1, done]: the k-APs ending
+        # there are skipped, and the rest decide the row
+        n, k = 90, 7
+        words = self._random_words(done, 1200, n)
+        free = np.array([
+            not naive_has_mono(
+                int.from_bytes(row.astype("<u8").tobytes(), "little"), k, done
+            )
+            for row in words
+        ])
+        rows = words[free][:400]
+        assert rows.shape[0] > 64
+        scanned = []
+
+        def breaks(b, d, k, buf):
+            scanned.append((d, b.shape[0]))
+            return _breaks(b, d, k, buf)
+
+        monkeypatch.setattr(coloring, "_breaks", breaks)
+        got = coloring._has_mono(rows, n, k, done)
+        # each d's scan starts at row max(0, done - (k-1)d)
+        assert all(m == n - max(0, done - (k - 1) * d) for d, m in scanned)
+        monkeypatch.undo()
+        assert got.tolist() == self._naive(rows, n, k)
+        assert got.tolist() == batch_has_mono_ap(rows, n, k).tolist()
 
 
 def _unpacked(words: np.ndarray) -> np.ndarray:

@@ -346,27 +346,50 @@ class TestKernelBudget:
         # a 1,920-word budget lays ranges out at two groups of the first
         # stage's [1, 960] and slices the second stage at one group of
         # [1, 1600], so most ranges' misses take two slices; every thread
-        # count gets a share, and the count equals one pass on whole rows
+        # count gets a share, and the count equals one pass on whole rows.
+        # The second stage skips the k-APs that end in [1, 960]
         k, n, samples, seed = 16, 1600, 700, 5
         ids = np.arange(samples, dtype=np.uint64)
         words = _philox.words(seed, ids, n // 64)
         one_pass = int(montecarlo.batch_has_mono_ap(words, n, k).sum())
-        detected = []  # per detection call: its n and rows
-        detect = montecarlo.batch_has_mono_ap
+        detected = []  # per detection call: its n, rows and skipped prefix
+        detect, resume = montecarlo.batch_has_mono_ap, montecarlo._has_mono
 
         def counted(rows, n, k):
-            detected.append((n, rows.shape[0]))
+            detected.append((n, rows.shape[0], 0))
             return detect(rows, n, k)
 
+        def resumed(rows, n, k, done):
+            detected.append((n, rows.shape[0], done))
+            return resume(rows, n, k, done)
+
         monkeypatch.setattr(montecarlo, "batch_has_mono_ap", counted)
+        monkeypatch.setattr(montecarlo, "_has_mono", resumed)
         monkeypatch.setattr(montecarlo, "_MIN_SHARE_BITS", 1)
         monkeypatch.setattr(coloring, "_KERNEL_WORDS", 1920)
         assert estimate_prob(k, n, samples, seed, workers=workers).successes == one_pass
-        first = [rows for m, rows in detected if m == 960]
-        second = [rows for m, rows in detected if m == n]
+        first = [rows for m, rows, done in detected if m == 960 and done == 0]
+        second = [rows for m, rows, done in detected if m == n and done == 960]
+        assert len(first) + len(second) == len(detected)
         assert max(first) == min(128, -(-samples // workers))
         assert max(second) == 64
         assert len(second) > len(first)
+
+    @pytest.mark.parametrize("k, n, samples", [(12, 700, 3000), (14, 1500, 1200)])
+    def test_repacks_keep_estimates(self, monkeypatch, k, n, samples):
+        # a 4,096-word budget cuts both stages into many kernel calls, each
+        # of which bit-slices its live rows again as they hit; every thread
+        # count gets a share, and the count equals one scan of the whole
+        # rows that keeps every sample to the end
+        words = _philox.words(2, np.arange(samples, dtype=np.uint64), -(-n // 64))
+        b = coloring._bitsliced(words, n)
+        found = coloring._any_mono(b, n, k, samples)[0]
+        ref = estimate_prob(k, n, samples, 2)
+        assert ref.successes == int(np.bitwise_count(found).sum())
+        monkeypatch.setattr(montecarlo, "_MIN_SHARE_BITS", 1)
+        monkeypatch.setattr(coloring, "_KERNEL_WORDS", 4096)
+        for workers in (1, 2, 3):
+            assert estimate_prob(k, n, samples, 2, workers=workers) == ref, workers
 
     def test_two_workers_split_the_simulate_batch(self, monkeypatch):
         # estimate_prob(20, 4700, 5000): ranges are laid out at the first
