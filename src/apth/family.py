@@ -34,7 +34,7 @@ ALL_PAIRS_FALLBACK = 1000
 
 #: Largest n ``greedy_max_family`` accepts: its uint8 pair table takes
 #: (n+1)^2 bytes (268 MB at the cap) and its scan offers all
-#: ~n^2/(2k-2) k-APs, one numpy batch per difference or per start.
+#: ~n^2/(2k-2) k-APs, one numpy batch per band of differences or per start.
 GREEDY_MAX_N = 1 << 14
 
 #: Most pair keys one gather of ``greedy_max_family`` holds (512 KB of
@@ -342,17 +342,22 @@ def greedy_max_family(
     large-difference family is offered first, so the result size is at
     least ``large_diff_family_size(k, n)``.
 
-    Candidates are offered a batch at a time: all starts of one d for
-    ``lex_by_diff_start`` and for the seed, all diffs of one start a for
-    ``lex_by_start_diff``.  One gather of the table keeps the candidates
-    whose pairs are all free; an in-batch rule then drops each one that
-    clashes (shares two elements) with a kept candidate before it in the
-    batch, and one scatter marks the kept candidates' pairs.  With one d,
-    two candidates clash iff their starts are congruent mod d and less
-    than (k-1)d apart; with one a, iff they share an element besides a.
-    A gather holds at most ``_KEY_BUDGET`` keys, whatever k is: a batch is
-    cut into slabs, each filtered against the table as it stands when the
-    slab starts.  The result is the one-candidate-at-a-time greedy's.
+    Candidates are offered a batch at a time: for ``lex_by_diff_start``
+    and for the seed, all starts of a band of differences d0 <= d with
+    d*(k-2) < d0*(k-1); for ``lex_by_start_diff``, all diffs of one start
+    a.  One gather of the table keeps the candidates whose pairs are all
+    free; an in-batch rule then drops each one that clashes (shares two
+    elements) with a kept candidate before it in the batch, and one
+    scatter marks the kept candidates' pairs.  k-APs of differences
+    d < d' that share x < y have y - x = i*d = j*d' with 1 <= j < i <= k-1,
+    so d'/d >= (k-1)/(k-2) and two candidates of one band clash only if
+    they have the same d: iff their starts are congruent mod d and less
+    than (k-1)d apart.  With one a, two clash iff they share an element
+    besides a.  A gather holds at most ``_KEY_BUDGET`` keys, whatever k
+    is: a batch is produced and offered in slabs, never built whole, each
+    filtered against the table as it stands when the slab starts.  Each
+    gather runs along its longer axis, offsets or candidates.  The result
+    is the one-candidate-at-a-time greedy's.
 
     The scan order is part of the contract: it pins the result, making
     density figures reproducible across runs and platforms.
@@ -377,8 +382,9 @@ def greedy_max_family(
     )
     # Past k = 16 the first row (the k-1 pairs through a) is under an
     # eighth of all pairs; at large k it rejects most candidates, so each
-    # batch is first tested on it alone, against the table as the batch
-    # starts.  A candidate that passes is tested in full in its slab.
+    # chunk of a batch is first tested on it alone, against the table as
+    # the chunk starts.  A candidate that passes is tested in full in its
+    # slab.
     head = k - 1 if k > 16 else 0
     width = min(len(offsets) - head, _KEY_BUDGET)
     blocks = [offsets[:head]] if head else []
@@ -387,21 +393,33 @@ def greedy_max_family(
     kept_starts: list[np.ndarray] = []
     kept_diffs: list[np.ndarray] = []
 
+    def free(a: np.ndarray, d: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """Which candidates (a[i], d[i]) have none of the pairs at
+        ``block`` covered.  The gather runs along its longer axis:
+        offset-major rows OR-ed together when the candidates are at least
+        as many as the offsets, one row per candidate otherwise."""
+        if len(a) >= len(block):
+            keys = np.multiply.outer(block, d)
+            keys += a * (n + 2)
+            return np.bitwise_or.reduce(covered[keys], axis=0) == 0
+        return ~covered[_keys(a, d, block, n)].any(axis=1)
+
     def insert(starts: np.ndarray, diffs: np.ndarray, rule) -> None:
         """Offer the candidates (starts[i], diffs[i]) in order; ``rule``
-        picks, from a slab's free candidates, those to keep."""
-        if head:
-            cuts = range(_KEY_BUDGET // head, len(starts), _KEY_BUDGET // head)
-            ok = np.concatenate([
-                ~covered[_keys(a, d, blocks[0], n)].any(axis=1)
-                for a, d in zip(np.split(starts, cuts), np.split(diffs, cuts))
-            ])
+        picks, from a slab's free candidates, if any, those to keep.  The
+        screen on the first row is one gather within the budget: a band
+        comes in chunks of _KEY_BUDGET // head candidates, and one start
+        has fewer than GREEDY_MAX_N / head."""
+        if head:  # a first row is one run of keys d apart: candidate-major
+            ok = ~covered[_keys(starts, diffs, blocks[0], n)].any(axis=1)
             starts, diffs = starts[ok], diffs[ok]
         for lo in range(0, len(starts), slab):
             a, d = starts[lo : lo + slab], diffs[lo : lo + slab]
             for block in blocks:
-                ok = ~covered[_keys(a, d, block, n)].any(axis=1)
+                ok = free(a, d, block)
                 a, d = a[ok], d[ok]
+            if not len(a):
+                continue
             picks = rule(a, d)
             a, d = a[picks], d[picks]
             for block in blocks:
@@ -410,10 +428,10 @@ def greedy_max_family(
             kept_diffs.append(d)
 
     def insert_diffs(d_lo: int, d_hi: int) -> None:
-        for d in range(d_lo, d_hi + 1):
-            starts = np.arange(1, n - (k - 1) * d + 1, dtype=np.int64)
-            diffs = np.full_like(starts, d)
-            insert(starts, diffs, lambda a, _: _by_residue(k, d, a))
+        size = _KEY_BUDGET // head if head else slab
+        for d0, d1 in _bands(k, d_lo, d_hi):
+            for starts, diffs in _band(k, n, d0, d1, size):
+                insert(starts, diffs, lambda a, d: _by_residue(k, a, d))
 
     if seed_with_large_diff:
         insert_diffs(*_diff_bounds(k, n))
@@ -431,6 +449,36 @@ def greedy_max_family(
     return APFamily._certified(k, n, members)
 
 
+def _bands(k: int, d_lo: int, d_hi: int) -> Iterator[tuple[int, int]]:
+    """Split d_lo..d_hi into bands d0..d1, each holding every d with
+    d*(k-2) < d0*(k-1): two k-APs of one band clash only if they have the
+    same difference (see ``greedy_max_family``)."""
+    d0 = d_lo
+    while d0 <= d_hi:
+        d1 = min(d_hi, ((k - 1) * d0 - 1) // (k - 2))
+        yield d0, d1
+        d0 = d1 + 1
+
+
+def _band(
+    k: int, n: int, d0: int, d1: int, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The starts and diffs of every k-AP in [1, n] of difference d0..d1,
+    in (d, a) order, ``size`` at a time: the band is never built whole
+    (at k = 3 and n = GREEDY_MAX_N one holds about 21M k-APs)."""
+    ds = np.arange(d0, d1 + 1, dtype=np.int64)
+    # k-APs of difference ds[i] hold the flat positions ends[i]..ends[i+1]-1
+    ends = np.zeros(len(ds) + 1, dtype=np.int64)
+    np.cumsum(n - (k - 1) * ds, out=ends[1:])
+    for lo in range(0, int(ends[-1]), size):
+        cut = ends.clip(lo, lo + size)
+        counts = cut[1:] - cut[:-1]
+        diffs = ds.repeat(counts)
+        starts = np.arange(lo + 1, lo + 1 + len(diffs), dtype=np.int64)
+        starts -= ends[:-1].repeat(counts)
+        yield starts, diffs
+
+
 def _keys(
     starts: np.ndarray, diffs: np.ndarray, offsets: np.ndarray, n: int
 ) -> np.ndarray:
@@ -441,19 +489,25 @@ def _keys(
     return keys
 
 
-def _by_residue(k: int, d: int, starts: np.ndarray) -> list[int]:
-    """Greedy picks among k-APs of one difference d, by position: two
+def _by_residue(k: int, starts: np.ndarray, diffs: np.ndarray) -> list[int]:
+    """Greedy picks among a nonempty run of k-APs of one band (see
+    ``_bands``) in (d, a) order, by position: two of one difference d
     clash iff their starts are congruent mod d and less than (k-1)d apart,
     so a start is kept iff it lies (k-1)d or more past the last one kept
     in its residue class."""
-    span = (k - 1) * d
-    last = [-span] * d  # the last start kept, by residue
     picks = []
-    for i, a in enumerate(starts.tolist()):
-        r = a % d
-        if a - last[r] >= span:
-            last[r] = a
-            picks.append(i)
+    cuts = []
+    if diffs[0] != diffs[-1]:  # ascending: more than one difference
+        cuts = (np.flatnonzero(diffs[1:] != diffs[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(diffs)]):
+        d = int(diffs[lo])
+        span = (k - 1) * d
+        last = [-span] * d  # the last start kept, by residue
+        for i, a in enumerate(starts[lo:hi].tolist(), lo):
+            r = a % d
+            if a - last[r] >= span:
+                last[r] = a
+                picks.append(i)
     return picks
 
 

@@ -41,7 +41,7 @@ k reads the same streams.  A monochromatic (k+1)-AP holds a monochromatic
 k-AP, its first k terms, so a sample known to miss at k on [1, n] misses
 at k+1 there too: each k starts from the words and known misses of the k
 below, and forgets only the hits.  ``scaling_report(8, 16, 0.5, 500, 1)``
-makes 51 Philox calls of 90,490 words, against 59 of 247,865 with every k
+makes 29 Philox calls of 96,804 words, against 49 of 321,128 with every k
 starting afresh.
 """
 
@@ -287,6 +287,23 @@ def _check_ceiling(ceiling: int | None) -> None:
         raise ValueError(f"ceiling must be >= 1, got {ceiling}")
 
 
+#: Most samples a threshold search takes (2^21): budget doublings take it
+#: to 8 x samples, each a row of its record (``_Samples``, 17 bytes a row
+#: besides the word store), and 8 x 2^21 is the detection matrix budget,
+#: ``coloring._MATRIX_WORDS``.
+_SEARCH_SAMPLES = coloring._MATRIX_WORDS // 8
+
+
+def _check_search(samples: int) -> None:
+    """Refuse a search of more samples than ``_SEARCH_SAMPLES``."""
+    if samples > _SEARCH_SAMPLES:
+        raise ValueError(
+            f"samples={samples} exceeds a threshold search's cap {_SEARCH_SAMPLES}: "
+            f"budget doublings reach 8 x samples, within the "
+            f"{8 * _SEARCH_SAMPLES}-word detection budget"
+        )
+
+
 def _check_run(samples: int, seed: int, workers: int) -> None:
     """Check the sample count, seed and worker count of a Monte Carlo run."""
     if samples < 1:
@@ -354,6 +371,8 @@ def threshold_search(
     least 1, defaults to ``coloring._MATRIX_WORDS``, the widest coloring
     whose one-group matrix the detection budget admits, so a runaway
     search stops with SearchCeilingError before its estimates refuse n.
+    ``samples`` above ``_SEARCH_SAMPLES`` (2^21) are refused before
+    anything is allocated, as ``scaling_report`` refuses them.
 
     Every point runs on one pool of ``workers`` threads; results never
     depend on ``workers``.
@@ -361,9 +380,15 @@ def threshold_search(
     _check_k(k)
     _check_target(target)
     _check_run(samples, seed, workers)
+    _check_search(samples)
     _check_ceiling(ceiling)
     with _runner(workers) as run:
         return _search(k, target, samples, run, ceiling, _Samples(seed))
+
+
+def _block_end(words: int) -> int:
+    """``words`` rounded up to the end of a Philox block."""
+    return -(-words // _philox._WORDS_PER_BLOCK) * _philox._WORDS_PER_BLOCK
 
 
 class _Samples:
@@ -383,9 +408,11 @@ class _Samples:
 
     def grow(self, m: int, n: int) -> None:
         """Give the per-sample arrays at least m rows, and the store at least
-        the words of [1, n] a row; it narrows only to stay within its budget."""
+        the words of [1, n] a row, to the end of their last Philox block;
+        it narrows only to stay within its budget."""
         rows = max(m, self.miss_to.size)
-        cols = min(max(self.store.shape[1], _word_count(n)), _STORE_WORDS // rows)
+        cols = max(self.store.shape[1], _block_end(_word_count(n)))
+        cols = min(cols, _STORE_WORDS // rows)
         if (rows, cols) == self.store.shape:
             return
         new = rows - self.miss_to.size
@@ -400,20 +427,25 @@ class _Samples:
     def colorings(self, n: int, rows: np.ndarray) -> np.ndarray:
         """The words of the samples ``rows`` on [1, n], bits above n as drawn:
         their stored words up to the smallest stored length, then one
-        Philox call for the rest, whose stored columns are kept.  The words
-        a sample stores past the smallest are generated again: in a report,
-        one that hit early at k stored only what k needed
-        (``scaling_report(8, 16, 0.5, 500, 1)``: 11,090 of 90,490 words)."""
+        Philox call for the rest, run on to the end of its last block when
+        the store has room for it, whose stored columns are kept.  Philox
+        computes whole 4-word blocks, so a later point reads the block's
+        other words from the store instead of computing the block again.
+        The words a sample stores past the smallest are generated again:
+        in a report, one that hit early at k stored only what k needed
+        (``scaling_report(8, 16, 0.5, 500, 1)``: 13,720 of 96,804 words)."""
         nw = _word_count(n)
         h = min(nw, int(self.have[rows].min()))
         words = np.empty((rows.size, nw), dtype=np.uint64)
         words[:, :h] = self.store[rows, :h]
         if h < nw:
-            ids = rows.astype(np.uint64)
-            words[:, h:] = _philox.words(self.seed, ids, nw - h, first_word=h)
-            kept = min(nw, self.store.shape[1])
+            kept = min(_block_end(nw), self.store.shape[1])
+            fresh = _philox.words(
+                self.seed, rows.astype(np.uint64), max(nw, kept) - h, first_word=h
+            )
+            words[:, h:] = fresh[:, : nw - h]
             if kept > h:
-                self.store[rows, h:kept] = words[:, h:kept]
+                self.store[rows, h:kept] = fresh[:, : kept - h]
                 self.have[rows] = kept
         return words
 
@@ -544,6 +576,7 @@ def scaling_report(
         )
     _check_target(target)
     _check_run(samples, seed, workers)
+    _check_search(samples)
     _check_ceiling(ceiling)
     rows = []
     # One record of the samples serves every k.  Its known misses carry

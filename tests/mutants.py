@@ -87,6 +87,14 @@ MUTANTS = [
      "mid = min(top, n // k + 1)",
      "_clump_runs counts d starts at one difference too many"),
     ("family.py",
+     "d1 = min(d_hi, ((k - 1) * d0 - 1) // (k - 2))",
+     "d1 = min(d_hi, (k - 1) * d0 // (k - 2))",
+     "the band bound admits d*(k-2) = d0*(k-1): <= in place of <"),
+    ("family.py",
+     "d1 = min(d_hi, ((k - 1) * d0 - 1) // (k - 2))",
+     "d1 = min(d_hi, 2 * d0 - 1)",
+     "bands of [d, 2d) whatever k is"),
+    ("family.py",
      "keys += (starts * (n + 2))[:, None]",
      "keys += (starts * (n + 1))[:, None]",
      "the greedy's pair-key stride"),
@@ -119,8 +127,8 @@ MUTANTS = [
      "known.miss_to[ids] = first",
      "a known miss recorded at the first hit itself"),
     ("montecarlo.py",
-     "_word_count(n)), _STORE_WORDS // rows)",
-     "_word_count(n)), _STORE_WORDS)",
+     "cols = min(cols, _STORE_WORDS // rows)",
+     "cols = min(cols, _STORE_WORDS)",
      "the word store's columns without its budget cap"),
 ]
 

@@ -231,6 +231,15 @@ class TestSweepAndReport:
         assert code == 2 and out == ""
         assert err.startswith("error: 2:")
 
+    @pytest.mark.parametrize("cmd", [["sweep", "--k", "8"],
+                                     ["report", "--k-low", "8", "--k-high", "9"]])
+    def test_samples_past_the_search_cap_exit_2(self, capsys, cmd):
+        # the record of 8 x 2e9 samples ended in a numpy memory error
+        code, out, err = run(capsys, *cmd, "--samples", "2000000000", "--seed", "1")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: 2: ")
+        assert "samples=2000000000 exceeds a threshold search's cap 2097152" in err
+
     def test_default_ceiling_stops_before_row_limit(self, capsys, monkeypatch):
         # a 256-word matrix budget stands in for the 2^24-word one (and a
         # kernel budget no larger): without --ceiling a runaway search

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apth import family
 from apth.family import (
     _KEY_BUDGET,
+    _band,
+    _bands,
     GREEDY_MAX_N,
     APFamily,
     block_count,
@@ -380,6 +383,82 @@ class TestGreedy:
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError):
             greedy_max_family(3, 10, order="by_moon_phase")
+
+
+class TestBands:
+    @pytest.mark.parametrize("k", range(3, 41))
+    def test_no_two_differences_of_a_band_clash(self, k):
+        # k-APs of differences d < d' share two elements only if
+        # i*d = j*d' for some 1 <= i, j <= k-1
+        bands = list(_bands(k, 1, 300))
+        assert [d for d0, d1 in bands for d in range(d0, d1 + 1)] == list(range(1, 301))
+        for d0, d1 in bands:
+            for d in range(d0, d1 + 1):
+                steps = {i * d for i in range(1, k)}
+                for e in range(d + 1, d1 + 1):
+                    assert steps.isdisjoint(j * e for j in range(1, k)), (d0, d, e)
+            # each band is as wide as the bound allows
+            assert d1 == 300 or (d1 + 1) * (k - 2) >= d0 * (k - 1), (d0, d1)
+
+    @pytest.mark.parametrize("order", ["lex_by_diff_start", "lex_by_start_diff"])
+    @pytest.mark.parametrize("seeded", [False, True])
+    @pytest.mark.parametrize("k, n, budget", [
+        (3, 80, 24), (4, 90, 24), (5, 101, 24), (17, 301, 64),
+    ])
+    def test_small_budget_matches_table_oracle(
+        self, monkeypatch, k, n, budget, seeded, order
+    ):
+        # with a budget of a few dozen keys a band spans several slabs, a
+        # slab several differences, and at k = 17 a candidate's pairs
+        # several gathers
+        monkeypatch.setattr(family, "_KEY_BUDGET", budget)
+        band, spans = family._band, []
+
+        def recorded(*args):
+            for starts, diffs in band(*args):
+                spans.append(len(set(diffs.tolist())))
+                yield starts, diffs
+
+        monkeypatch.setattr(family, "_band", recorded)
+        fam = greedy_max_family(k, n, seed_with_large_diff=seeded, order=order)
+        assert [(p.start, p.diff) for p in fam] == table_greedy(k, n, seeded, order)
+        if order == "lex_by_diff_start":
+            assert any(s > 1 for s in spans)
+            assert len(spans) > len(list(_bands(k, 1, n)))
+
+    def test_a_band_is_produced_a_slab_at_a_time(self):
+        # at k = 3 and n = GREEDY_MAX_N the band 2048..4095 holds 20,973,568
+        # k-APs: 336 MB of starts and diffs if it were built whole
+        n, slab = GREEDY_MAX_N, _KEY_BUDGET // 3
+        assert list(_bands(3, 2048, 4095)) == [(2048, 4095)]
+        assert sum(n - 2 * d for d in range(2048, 4096)) == 20_973_568
+        tracemalloc.start()
+        try:
+            slabs = _band(3, n, 2048, 4095, slab)
+            first = next(slabs)
+            second = next(slabs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the first 43,690 k-APs of the band have differences 2048..2051
+        head = [(a, d) for d in range(2048, 2052) for a in range(1, n - 2 * d + 1)]
+        got = [
+            (a, d)
+            for starts, diffs in (first, second)
+            for a, d in zip(starts.tolist(), diffs.tolist())
+        ]
+        assert got == head[: 2 * slab]
+
+    def test_slabs_cover_the_band_in_order(self):
+        # the last slab of 3..5 at n = 20 holds d = 4 and d = 5
+        got = [
+            (a, d)
+            for starts, diffs in _band(3, 20, 3, 5, 7)
+            for a, d in zip(starts.tolist(), diffs.tolist())
+        ]
+        assert got == [(a, d) for d in range(3, 6) for a in range(1, 21 - 2 * d)]
+        assert [len(s) for s, _ in _band(3, 20, 3, 5, 7)] == [7, 7, 7, 7, 7, 1]
 
 
 class TestDensity:

@@ -431,6 +431,25 @@ class TestThresholdSearch:
         step = res.n_star - res.bracket_low
         assert step <= max(1, math.ceil(0.01 * res.n_star))
 
+    def test_samples_cap_is_read_from_the_arguments(self, monkeypatch):
+        # budget doublings reach 8 x samples rows, so the cap is
+        # _MATRIX_WORDS // 8 samples (2^21), refused before the record of
+        # the samples is built
+        assert montecarlo._SEARCH_SAMPLES * 8 == coloring._MATRIX_WORDS == 1 << 24
+
+        def unbuilt(seed):
+            raise AssertionError("the record of the samples was built")
+
+        monkeypatch.setattr(montecarlo, "_Samples", unbuilt)
+        for samples in ((1 << 21) + 1, 2_000_000_000):
+            with pytest.raises(ValueError, match="search's cap 2097152"):
+                threshold_search(8, 0.5, samples, 1)
+            with pytest.raises(ValueError, match="cap 2097152"):
+                scaling_report(8, 9, 0.5, samples, 1)
+        # at the cap the search goes on to build its record
+        with pytest.raises(AssertionError, match="record"):
+            threshold_search(8, 0.5, 1 << 21, 1)
+
     def test_never_below_k(self):
         for k in (3, 5, 8):
             res = threshold_search(k, 0.5, 2000, 4)
@@ -526,10 +545,10 @@ class TestThresholdSearch:
         assert started == [2]
 
     @pytest.mark.parametrize("args, philox", [
-        ((12, 0.5, 600, 3), (7, 20107)),
+        ((12, 0.5, 600, 3), (5, 20616)),
         # a store narrowed to the bracket's hi at a doubling would generate
         # 1,733 of this search's words twice
-        ((16, 0.5, 494, 2), (8, 77101)),
+        ((16, 0.5, 494, 2), (7, 81040)),
     ], ids=["k12", "k16"])
     def test_generates_each_word_once(self, monkeypatch, args, philox):
         # points carry words: no (stream, word) pair is generated twice,
@@ -779,7 +798,7 @@ class TestScalingReport:
 
     def test_report_reuses_words_across_k(self, monkeypatch):
         # each k reads the words the k below stored; a report whose searches
-        # each started afresh made 31 Philox calls of 31,662 words
+        # each started afresh made 23 Philox calls of 56,056 words
         calls = []
         words = _philox.words
 
@@ -790,7 +809,7 @@ class TestScalingReport:
         ref = scaling_report(8, 12, 0.5, 300, 5)
         monkeypatch.setattr(_philox, "words", counted_words)
         assert scaling_report(8, 12, 0.5, 300, 5) == ref
-        assert (len(calls), sum(calls)) == (24, 12798)
+        assert (len(calls), sum(calls)) == (8, 17656)
 
     def test_thresholds_track_the_declumped_first_moment(self):
         # n* sits at or just above the smallest n whose expected number
