@@ -76,21 +76,19 @@ from .probability import threshold_scale_lower
 _STORE_WORDS = 1 << 20
 
 
-def _ranges(samples: int, chunk: int, workers: int) -> list[tuple[int, int]]:
-    """Split [0, samples) into ranges of at most ``chunk`` rows and at most
-    a worker's share, ceil(samples / workers), so a batch that fits one
-    chunk still spreads over the threads.  With one worker the ranges are
-    whole chunks."""
-    size = min(chunk, -(-samples // workers))
-    return [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
-
-
 #: Coloring bits (samples times n) each thread must get before a batch is
 #: split over threads.  Smaller shares make each numpy operation of the
 #: per-d loop too short to pay for handing the interpreter lock between
 #: threads: on 2 vCPUs, a batch of 2,000 colorings of [1, 1100] took
 #: 16 ms on one thread and 30 ms on two.
 _MIN_SHARE_BITS = 1 << 22
+
+#: Most worker threads a Monte Carlo run may use.  Each engaged thread is
+#: an operating-system thread with its own stack (8 MB of address space
+#: by default on Linux, so 2 GB at this count), and detection is a loop of
+#: numpy calls that hand the interpreter lock between threads, so counts
+#: past the cores of a large host only cost.
+_MAX_WORKERS = 256
 
 
 def _range_rows(n: int) -> int:
@@ -102,33 +100,33 @@ def _range_rows(n: int) -> int:
     return WORD_BITS * _kernel_groups(WORD_BITS * _word_count(n))
 
 
-def _batch_ranges(
-    samples: int, n: int, workers: int, width: int | None = None
-) -> list[tuple[int, int]]:
-    """``_ranges`` of a batch of colorings of [1, n] whose first detection
-    reads [1, width] (all of [1, n] by default), of ``_range_rows(width)``
-    rows each, spread over as many of ``workers`` threads as get at least
-    ``_MIN_SHARE_BITS`` of [1, n] each."""
-    engaged = min(workers, max(1, samples * n // _MIN_SHARE_BITS))
-    return _ranges(samples, _range_rows(n if width is None else width), engaged)
-
-
 @contextmanager
 def _runner(workers: int):
-    """Yield ``run(fn, samples, n, width=None)``, which calls ``fn(lo, hi)``
-    over the ``_batch_ranges`` of a batch and returns the results in
-    order.  One pool of ``workers`` threads serves every call; a single
-    worker, or a batch of one range, runs in the calling thread.  A count
-    below one also runs there, leaving its error to the caller's argument
-    checks."""
+    """Yield ``run(fn, samples, n, width=None)``, which returns the sum of
+    ``fn(lo, hi)`` over ranges that tile [0, samples) of a batch of
+    colorings of [1, n] whose first detection reads [1, width] (all of
+    [1, n] by default).  The batch is cut into one contiguous share for
+    each engaged thread: at most ``workers``, and only as many as get
+    ``_MIN_SHARE_BITS`` of [1, n] each.  Each thread walks its share in
+    ranges of at most ``_range_rows(width)`` rows, made as it goes, so
+    memory does not grow with ``samples``.  One pool of ``workers``
+    threads, built only for more than one, serves every call; a single
+    share runs in the calling thread."""
     threads = ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
     with threads as pool:
 
-        def run(fn, samples: int, n: int, width: int | None = None) -> list:
-            ranges = _batch_ranges(samples, n, workers, width)
-            if pool is None or len(ranges) == 1:
-                return [fn(lo, hi) for lo, hi in ranges]
-            return list(pool.map(lambda r: fn(*r), ranges))
+        def run(fn, samples: int, n: int, width: int | None = None) -> int:
+            engaged = min(workers, max(1, samples * n // _MIN_SHARE_BITS))
+            share = -(-samples // engaged)
+            size = min(share, _range_rows(n if width is None else width))
+
+            def walk(lo: int) -> int:
+                hi = min(lo + share, samples)
+                return sum(fn(at, min(at + size, hi)) for at in range(lo, hi, size))
+
+            if engaged == 1:
+                return walk(0)
+            return sum(pool.map(walk, range(0, samples, share)))
 
         yield run
 
@@ -305,12 +303,15 @@ def _check_search(samples: int) -> None:
 
 
 def _check_run(samples: int, seed: int, workers: int) -> None:
-    """Check the sample count, seed and worker count of a Monte Carlo run."""
+    """Check the sample count, seed and worker count of a Monte Carlo run;
+    ``workers`` lies in [1, ``_MAX_WORKERS``]."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     _philox.check_u64(seed, "seed")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > _MAX_WORKERS:
+        raise ValueError(f"workers={workers} exceeds the thread cap {_MAX_WORKERS}")
 
 
 def estimate_prob(
@@ -319,10 +320,12 @@ def estimate_prob(
     """Estimate P(a uniform coloring of [1, n] has a mono k-AP).
 
     Sample i is the coloring drawn from stream (seed, i); successes are
-    counted in the two stages the module docstring describes.  The ranges
-    are laid out for the first stage, on [1, head]; each range's misses
-    reach the second in slices sized for [1, n], and no range keeps more
-    than its own.  The result is a pure function of (k, n, samples, seed)
+    counted in the two stages the module docstring describes, and summed
+    over ranges that each thread makes as it walks its share of the
+    samples.  The ranges are sized for the first stage, on [1, head];
+    each range's misses reach the second in slices sized for [1, n], and
+    no range keeps more than its own, so memory does not grow with
+    ``samples``.  The result is a pure function of (k, n, samples, seed)
     regardless of ``workers``.
     """
     _check_k(k)
@@ -331,10 +334,10 @@ def estimate_prob(
     _check_matrix(n, WORD_BITS)  # refuse a row wider than one group's matrix
     head = min(n, WORD_BITS * (k - 1))
     with _runner(workers) as run:
-        counts = run(
+        successes = run(
             lambda lo, hi: _count_hits(k, n, head, seed, lo, hi), samples, n, head
         )
-    return ProbEstimate.from_counts(k, n, samples, sum(counts), seed)
+    return ProbEstimate.from_counts(k, n, samples, successes, seed)
 
 
 def threshold_search(
@@ -468,26 +471,26 @@ def _search(
     cache: dict[tuple[int, int], ProbEstimate] = {}
     known.hit[:] = False
 
-    def detect(n: int, rows: np.ndarray) -> np.ndarray:
-        """The first hits, or n + 1, of the undecided samples ``rows`` on
-        [1, n]; none hits on [1, min(miss_to)], so only later ends are
-        scanned."""
+    def detect(n: int, rows: np.ndarray) -> int:
+        """Record the first hits on [1, n] of the undecided samples ``rows``,
+        and return how many hit; none hits on [1, min(miss_to)], so only
+        later ends are scanned.  Threads detect disjoint rows."""
         done = max(0, int(known.miss_to[rows].min()))
         b = _bitsliced(known.colorings(n, rows), n)
-        return _first_hits(b, n, k, rows.size, done=done)
+        first = _first_hits(b, n, k, rows.size, done=done)
+        known.hit[rows] = first <= n
+        known.miss_to[rows] = first - 1
+        return int(np.count_nonzero(first <= n))
 
     def successes(n: int, m: int) -> int:
         """How many of the first m samples hit on [1, n], detecting the undecided."""
         _check_matrix(n, WORD_BITS)  # refuse what estimate_prob refuses
         known.grow(m, n)
         ids = np.flatnonzero(~known.hit[:m] & (known.miss_to[:m] < n))
+        hits = int(np.count_nonzero(known.hit[:m] & (known.miss_to[:m] < n)))
         if ids.size:
-            first = np.concatenate(
-                run(lambda lo, hi: detect(n, ids[lo:hi]), ids.size, n)
-            )
-            known.hit[ids] = first <= n
-            known.miss_to[ids] = first - 1
-        return int(np.count_nonzero(known.hit[:m] & (known.miss_to[:m] < n)))
+            hits += run(lambda lo, hi: detect(n, ids[lo:hi]), ids.size, n)
+        return hits
 
     def estimate(n: int, m: int) -> ProbEstimate:
         """The point (n, m), recorded once; the record is the trace."""

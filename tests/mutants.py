@@ -115,16 +115,16 @@ MUTANTS = [
      "h = min(nw, int(self.have[rows].max()))",
      "the store's have: a point reads the longest stored prefix"),
     ("montecarlo.py",
-     "return [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]",
-     "return [(lo, min(lo + size - 1, samples)) for lo in range(0, samples, size)]",
-     "the _ranges split drops the last sample of each range"),
+     "return sum(fn(at, min(at + size, hi)) for at in range(lo, hi, size))",
+     "return sum(fn(at, min(at + size - 1, hi)) for at in range(lo, hi, size))",
+     "the share walk drops the last sample of each range"),
     ("montecarlo.py",
      "ids = misses[at : at + rows]",
      "ids = misses[at + 1 : at + rows]",
      "estimate_prob's stage-2 slice skips a miss"),
     ("montecarlo.py",
-     "known.miss_to[ids] = first - 1",
-     "known.miss_to[ids] = first",
+     "known.miss_to[rows] = first - 1",
+     "known.miss_to[rows] = first",
      "a known miss recorded at the first hit itself"),
     ("montecarlo.py",
      "cols = min(cols, _STORE_WORDS // rows)",

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from apth import __version__, cli, coloring
+from apth import __version__, cli, coloring, montecarlo
 from apth.cli import (
     main,
     read_record,
@@ -239,6 +239,29 @@ class TestSweepAndReport:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: 2: ")
         assert "samples=2000000000 exceeds a threshold search's cap 2097152" in err
+
+    @pytest.mark.parametrize("cmd", [["simulate", "--k", "6", "--n", "24"],
+                                     ["sweep", "--k", "8"],
+                                     ["report", "--k-low", "8", "--k-high", "9"]])
+    @pytest.mark.parametrize("workers", ["257", "10000"])
+    def test_workers_past_the_cap_exit_2_before_any_pool(
+        self, capsys, monkeypatch, cmd, workers
+    ):
+        # the refusal reads the arguments alone: no pool is built, so no
+        # thread starts
+        class Unbuilt:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Unbuilt)
+        code, out, err = run(capsys, *cmd, "--samples", "1000000000",
+                             "--seed", "1", "--workers", workers)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: 2: ")
+        assert f"workers={workers} exceeds the thread cap 256" in err
+        # at the cap the run goes on to build its pool
+        with pytest.raises(AssertionError, match="pool"):
+            main([*cmd, "--samples", "1000", "--seed", "1", "--workers", "256"])
 
     def test_default_ceiling_stops_before_row_limit(self, capsys, monkeypatch):
         # a 256-word matrix budget stands in for the 2^24-word one (and a

@@ -2,6 +2,7 @@ import math
 import statistics
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -174,7 +175,7 @@ class TestEstimateProb:
             # three workers, each given a share: ranges of 87 samples, not
             # whole groups
             monkeypatch.setattr(montecarlo, "_MIN_SHARE_BITS", 1)
-            assert montecarlo._batch_ranges(samples, n, 3, 960)[0] == (0, 87)
+            assert _run_ranges(samples, n, 3, 960)[0][0] == (0, 87)
             assert estimate_prob(k, n, samples, 0, workers=3).successes == want
             monkeypatch.undo()
 
@@ -255,7 +256,9 @@ class TestChunkBudget:
         assert montecarlo._range_rows(300) == 64
         assert estimate_prob(12, 300, 12, 3) == ref
         monkeypatch.setattr(montecarlo, "_MIN_SHARE_BITS", 1)
-        assert montecarlo._batch_ranges(12, 300, 12) == [(i, i + 1) for i in range(12)]
+        ranges, total = _run_ranges(12, 300, 12)
+        assert ranges == [(i, i + 1) for i in range(12)]
+        assert total == sum(range(12))
         assert estimate_prob(12, 300, 12, 3, workers=12) == ref
 
     def test_tiny_budget_rejects_wide_rows(self, monkeypatch):
@@ -267,30 +270,118 @@ class TestChunkBudget:
         assert estimate_prob(3, 256, 10, 3).samples == 10
 
 
+def _run_ranges(samples, n, workers, width=None):
+    """The ranges, in order, that a ``_runner`` of ``workers`` hands to
+    ``fn`` for a batch, and the sum it returns; each range's ``fn`` gives
+    the sum of its sample indices."""
+    ranges = []
+
+    def fn(lo, hi):
+        ranges.append((lo, hi))
+        return sum(range(lo, hi))
+
+    with montecarlo._runner(workers) as run:
+        total = run(fn, samples, n, width)
+    return sorted(ranges), total
+
+
 class TestRanges:
-    def test_one_worker_takes_whole_chunks(self):
-        for samples, chunk in [(1, 5), (5, 5), (12, 5), (8000, 13797)]:
-            assert montecarlo._ranges(samples, chunk, 1) == [
-                (lo, min(lo + chunk, samples))
-                for lo in range(0, samples, chunk)
-            ]
+    # the ranges a runner hands to fn, recorded through _runner itself
 
-    def test_one_chunk_spreads_over_workers(self):
+    def test_one_worker_takes_whole_chunks(self, monkeypatch):
+        # one worker walks the whole batch in ranges of _range_rows(width)
+        # rows; a 960-word kernel budget makes that one group at 15 words
+        for budget, chunk in [(None, 8704), (960, 64)]:
+            if budget is not None:
+                monkeypatch.setattr(coloring, "_KERNEL_WORDS", budget)
+            assert montecarlo._range_rows(960) == chunk
+            for samples in (1, 5, 63, 64, 65, 8000, 8704, 8705, 30000):
+                ranges, total = _run_ranges(samples, 1156, 1, 960)
+                assert ranges == [
+                    (lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)
+                ]
+                assert total == samples * (samples - 1) // 2
+
+    def test_one_chunk_spreads_over_workers(self, monkeypatch):
         # estimate_prob(16, 1156, 8000) lays its ranges out for the first
-        # stage's [1, 960]: 15-word rows, one 8,704-row chunk
-        chunk = montecarlo._range_rows(960)
-        assert chunk == 8704
-        assert montecarlo._ranges(8000, chunk, 1) == [(0, 8000)]
-        assert montecarlo._ranges(8000, chunk, 2) == [(0, 4000), (4000, 8000)]
-        assert len(montecarlo._ranges(8000, chunk, 3)) == 3
+        # stage's [1, 960]: 15-word rows, one 8,704-row chunk.  Its 8000 x
+        # 1156 coloring bits engage two shares of 2^22, so a third worker
+        # takes none until every bit is a share
+        assert montecarlo._range_rows(960) == 8704
+        assert _run_ranges(8000, 1156, 1, 960)[0] == [(0, 8000)]
+        halves = [(0, 4000), (4000, 8000)]
+        assert _run_ranges(8000, 1156, 2, 960)[0] == halves
+        assert _run_ranges(8000, 1156, 3, 960)[0] == halves
+        monkeypatch.setattr(montecarlo, "_MIN_SHARE_BITS", 1)
+        assert len(_run_ranges(8000, 1156, 3, 960)[0]) == 3
 
-    @given(st.integers(1, 3000), st.integers(1, 700), st.integers(1, 8))
-    def test_ranges_tile_the_samples(self, samples, chunk, workers):
-        ranges = montecarlo._ranges(samples, chunk, workers)
+    @given(st.integers(1, 3000), st.integers(1, 8), st.integers(1, 1 << 17), st.data())
+    def test_ranges_tile_the_samples(self, samples, workers, width, data):
+        # up to 2^17 words a row, chunks run from 2^17 rows down to one
+        # group, and samples x n reach 93 shares of 2^22 bits, so every
+        # worker count can be engaged
+        n = data.draw(st.integers(width, 1 << 17))
+        ranges, total = _run_ranges(samples, n, workers, width)
         assert ranges[0][0] == 0 and ranges[-1][1] == samples
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        engaged = min(workers, max(1, samples * n // montecarlo._MIN_SHARE_BITS))
+        most = min(montecarlo._range_rows(width), -(-samples // engaged))
+        assert all(0 < hi - lo <= most for lo, hi in ranges)
+        assert total == samples * (samples - 1) // 2
+
+    def test_ranges_are_made_as_they_are_walked(self):
+        # a batch of 10^14 samples lists no ranges up front: the first
+        # range reaches fn before 1 MB is allocated
+        class Stop(Exception):
+            pass
+
+        def first(lo, hi):
+            peak.append(tracemalloc.get_traced_memory()[1])
+            raise Stop
+
+        for workers in (1, 2):
+            peak = []
+            tracemalloc.start()
+            try:
+                with pytest.raises(Stop):
+                    with montecarlo._runner(workers) as run:
+                        run(first, 10**14, 24)
+            finally:
+                tracemalloc.stop()
+            assert peak and max(peak) < 1 << 20, workers
+
+    def test_at_most_one_task_per_worker(self, monkeypatch):
+        # at the worker cap and 10^14 samples of [1, 10^6], the pool is
+        # handed one task per share, each share's start, and no thread
+        # starts: the fake pool runs nothing
+        tasks = []
+
+        class Unstarted:
+            def __init__(self, max_workers):
+                assert max_workers == montecarlo._MAX_WORKERS
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, starts):
+                tasks.extend(starts)
+                return [0] * len(tasks)
+
+        def never(lo, hi):
+            raise AssertionError("a range ran")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Unstarted)
+        threads = threading.active_count()
+        samples, workers = 10**14, montecarlo._MAX_WORKERS
+        with montecarlo._runner(workers) as run:
+            assert run(never, samples, 10**6) == 0
         share = -(-samples // workers)
-        assert all(0 < hi - lo <= min(chunk, share) for lo, hi in ranges)
+        assert tasks == list(range(0, samples, share))
+        assert len(tasks) == workers
+        assert threading.active_count() == threads
 
     def test_single_chunk_estimate_keeps_result(self):
         ref = estimate_prob(16, 1156, 600, 4)
