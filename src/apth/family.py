@@ -11,9 +11,11 @@ family of disjoint progressions could only reach linear size.
 
 Families are stored packed: a member is one entry of two int64 arrays,
 starts and diffs, and ``Progression`` objects are built only when a caller
-iterates or indexes.  The almost-disjointness check and the greedy
-maximization work on those arrays and on the C(k, 2) element-pair keys
-x*(n+1)+y they give, never on one progression at a time.
+iterates or indexes; the large-difference family is not stored at all,
+being one difference range of :mod:`apth.progressions`.  The
+almost-disjointness check and the greedy maximization work on those
+arrays and on the C(k, 2) element-pair keys x*(n+1)+y they give, never on
+one progression at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .progressions import Progression, _check_k, _check_n
+from .progressions import Progression, _check_k, _check_n, _DiffRange
 
 #: Member count at which the benchmark splits small-family from
 #: large-family check times.  It selects no algorithm: every family takes
@@ -53,67 +55,6 @@ def _diff_bounds(k: int, n: int) -> tuple[int, int]:
     d_lo = -(-n // k)
     d_hi = -(-n // (k - 1)) - 1
     return d_lo, d_hi
-
-
-class _LargeDiffMembers(Sequence):
-    """Virtual sorted member list of the large-difference family.
-
-    The family can hold ~n^2/(2k^3) progressions (2.8e10 at k=3, n=1e6),
-    so the sequence is never materialized: length comes from the closed
-    form and items are computed on demand.
-    """
-
-    __slots__ = ("k", "n", "d_lo", "d_hi")
-
-    def __init__(self, k: int, n: int):
-        self.k = k
-        self.n = n
-        self.d_lo, self.d_hi = _diff_bounds(k, n)
-
-    def _count_upto(self, d: int) -> int:
-        """Members with diff <= d."""
-        if d < self.d_lo:
-            return 0
-        d = min(d, self.d_hi)
-        m = d - self.d_lo + 1
-        return m * self.n - (self.k - 1) * (self.d_lo + d) * m // 2
-
-    def __len__(self) -> int:
-        return self._count_upto(self.d_hi)
-
-    def __iter__(self) -> Iterator[Progression]:
-        k, n = self.k, self.n
-        for d in range(self.d_lo, self.d_hi + 1):
-            for a in range(1, n - (k - 1) * d + 1):
-                yield Progression(a, d, k)
-
-    def __getitem__(self, idx: int) -> Progression:
-        if isinstance(idx, slice):
-            raise TypeError("slicing is not supported on the virtual member list")
-        size = len(self)
-        if idx < 0:
-            idx += size
-        if not 0 <= idx < size:
-            raise IndexError(idx)
-        lo, hi = self.d_lo, self.d_hi
-        while lo < hi:  # smallest d with _count_upto(d) > idx
-            mid = (lo + hi) // 2
-            if self._count_upto(mid) > idx:
-                hi = mid
-            else:
-                lo = mid + 1
-        a = idx - self._count_upto(lo - 1) + 1
-        return Progression(a, lo, self.k)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every member's start and diff, in order, from the closed form:
-        difference d has the starts 1..n-(k-1)d."""
-        d = np.arange(self.d_lo, self.d_hi + 1, dtype=np.int64)
-        counts = self.n - (self.k - 1) * d
-        diffs = np.repeat(d, counts)
-        starts = np.arange(1, len(diffs) + 1, dtype=np.int64)
-        starts -= np.repeat(np.cumsum(counts) - counts, counts)
-        return starts, diffs
 
 
 class _PackedMembers(Sequence):
@@ -187,12 +128,12 @@ class APFamily:
         _check_n(n)
         self.k = k
         self.n = n
-        self._members: _PackedMembers | _LargeDiffMembers = _pack(k, n, members)
+        self._members: _PackedMembers | _DiffRange = _pack(k, n, members)
         self.certified_almost_disjoint = False
 
     @classmethod
     def _certified(
-        cls, k: int, n: int, members: _PackedMembers | _LargeDiffMembers
+        cls, k: int, n: int, members: _PackedMembers | _DiffRange
     ) -> APFamily:
         """A family a construction guarantees: members sorted by (diff,
         start), distinct, inside [1, n] and almost disjoint; nothing is
@@ -219,9 +160,12 @@ class APFamily:
             return NotImplemented
         if self.k != other.k or self.n != other.n or len(self) != len(other):
             return False
+        mine, theirs = self._members, other._members
+        if isinstance(mine, _DiffRange) and isinstance(theirs, _DiffRange):
+            # never built: equal bounds give equal members, as does no member
+            return (mine.d_lo, mine.d_hi) == (theirs.d_lo, theirs.d_hi) or not mine
         return all(
-            np.array_equal(x, y)
-            for x, y in zip(self._members.arrays(), other._members.arrays())
+            np.array_equal(x, y) for x, y in zip(mine.arrays(), theirs.arrays())
         )
 
     def __repr__(self) -> str:
@@ -260,14 +204,14 @@ def large_diff_family(k: int, n: int) -> APFamily:
     """
     _check_k(k)
     _check_n(n)
-    return APFamily._certified(k, n, _LargeDiffMembers(k, n))
+    return APFamily._certified(k, n, _DiffRange(k, n, *_diff_bounds(k, n)))
 
 
 def large_diff_family_size(k: int, n: int) -> int:
     """Closed form of sum over n/k <= d < n/(k-1) of (n - d(k-1))."""
     _check_k(k)
     _check_n(n)
-    return _LargeDiffMembers(k, n)._count_upto(n)
+    return len(_DiffRange(k, n, *_diff_bounds(k, n)))
 
 
 def _member_elements(family: APFamily) -> np.ndarray:
@@ -430,7 +374,7 @@ def greedy_max_family(
     def insert_diffs(d_lo: int, d_hi: int) -> None:
         size = _KEY_BUDGET // head if head else slab
         for d0, d1 in _bands(k, d_lo, d_hi):
-            for starts, diffs in _band(k, n, d0, d1, size):
+            for starts, diffs in _DiffRange(k, n, d0, d1).slabs(size):
                 insert(starts, diffs, lambda a, d: _by_residue(k, a, d))
 
     if seed_with_large_diff:
@@ -458,25 +402,6 @@ def _bands(k: int, d_lo: int, d_hi: int) -> Iterator[tuple[int, int]]:
         d1 = min(d_hi, ((k - 1) * d0 - 1) // (k - 2))
         yield d0, d1
         d0 = d1 + 1
-
-
-def _band(
-    k: int, n: int, d0: int, d1: int, size: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The starts and diffs of every k-AP in [1, n] of difference d0..d1,
-    in (d, a) order, ``size`` at a time: the band is never built whole
-    (at k = 3 and n = GREEDY_MAX_N one holds about 21M k-APs)."""
-    ds = np.arange(d0, d1 + 1, dtype=np.int64)
-    # k-APs of difference ds[i] hold the flat positions ends[i]..ends[i+1]-1
-    ends = np.zeros(len(ds) + 1, dtype=np.int64)
-    np.cumsum(n - (k - 1) * ds, out=ends[1:])
-    for lo in range(0, int(ends[-1]), size):
-        cut = ends.clip(lo, lo + size)
-        counts = cut[1:] - cut[:-1]
-        diffs = ds.repeat(counts)
-        starts = np.arange(lo + 1, lo + 1 + len(diffs), dtype=np.int64)
-        starts -= ends[:-1].repeat(counts)
-        yield starts, diffs
 
 
 def _keys(

@@ -48,6 +48,7 @@ starting afresh.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -111,8 +112,12 @@ def _runner(workers: int):
     ranges of at most ``_range_rows(width)`` rows, made as it goes, so
     memory does not grow with ``samples``.  One pool of ``workers``
     threads, built only for more than one, serves every call; a single
-    share runs in the calling thread."""
+    share runs in the calling thread.  Leaving the runner, as an exception
+    from ``run`` (Ctrl-C included) does, stops every thread's walk after
+    the range in flight: the pool's shutdown would otherwise wait for
+    whole shares."""
     threads = ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    stop = threading.Event()
     with threads as pool:
 
         def run(fn, samples: int, n: int, width: int | None = None) -> int:
@@ -122,13 +127,21 @@ def _runner(workers: int):
 
             def walk(lo: int) -> int:
                 hi = min(lo + share, samples)
-                return sum(fn(at, min(at + size, hi)) for at in range(lo, hi, size))
+                total = 0
+                for at in range(lo, hi, size):
+                    if stop.is_set():
+                        break
+                    total += fn(at, min(at + size, hi))
+                return total
 
             if engaged == 1:
                 return walk(0)
             return sum(pool.map(walk, range(0, samples, share)))
 
-        yield run
+        try:
+            yield run
+        finally:
+            stop.set()
 
 
 #: Normal quantile for 95% two-sided coverage.

@@ -49,6 +49,7 @@ from .family import (
 )
 from .progressions import (
     Progression,
+    _DiffRange,
     _check_k,
     _check_n,
     contained_in,
@@ -404,12 +405,9 @@ def _clump_runs(k: int, n: int) -> int:
     form."""
     top = max(0, (n - 1) // (k - 1))  # the largest difference
     mid = min(top, n // k)  # the largest d with d <= s_d
-
-    def starts(lo: int, hi: int) -> int:  # sum of s_d over lo <= d <= hi
-        count = hi - lo + 1
-        return count * n - (k - 1) * (lo + hi) * count // 2
-
-    return starts(1, top) + mid * (mid + 1) // 2 + starts(mid + 1, top)
+    # sum of s_d over all d, then over the d past mid
+    starts = len(_DiffRange(k, n, 1, top)) + len(_DiffRange(k, n, mid + 1, top))
+    return starts + mid * (mid + 1) // 2
 
 
 def clump_threshold(k: int, target: float) -> int:

@@ -3,12 +3,19 @@
 A k-AP is determined by (start, diff, length): {a, a+d, ..., a+(k-1)d}.
 Everything here is exact integer arithmetic on 1-based elements; bit-level
 representations (0-based) live in :mod:`apth.coloring`.
+
+The k-APs with common difference in [d_lo, d_hi] are one lazy sequence,
+``_DiffRange``, counted in closed form and given as numpy slabs on demand;
+``count_aps``, ``enumerate_aps``, the large-difference family and the
+clumping count all read one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 #: Largest admissible interval endpoint.  Threshold sweeps stay orders of
 #: magnitude below this; an explicit cap makes runaway inputs diagnosable.
@@ -65,6 +72,76 @@ def contained_in(p: Progression, n: int) -> bool:
     return p.last <= n
 
 
+class _DiffRange(Sequence):
+    """The k-APs of [1, n] with common difference d_lo <= d <= d_hi, in
+    (diff, start) order, empty when d_hi < d_lo; each d must leave a
+    start: (k-1)*d_hi < n.  A range can hold ~n^2/(2k-2) progressions, so
+    it is never materialized: d has the starts 1..n-(k-1)d, which gives
+    its length in closed form and its i-th item by binary search over d.
+    """
+
+    __slots__ = ("k", "n", "d_lo", "d_hi")
+
+    def __init__(self, k: int, n: int, d_lo: int, d_hi: int):
+        self.k, self.n, self.d_lo, self.d_hi = k, n, d_lo, d_hi
+
+    def _count_upto(self, d: int) -> int:
+        """k-APs of the range with diff <= d: sum of n - (k-1)d'."""
+        if d < self.d_lo:
+            return 0
+        d = min(d, self.d_hi)
+        m = d - self.d_lo + 1
+        return m * self.n - (self.k - 1) * (self.d_lo + d) * m // 2
+
+    def __len__(self) -> int:
+        return self._count_upto(self.d_hi)
+
+    def __iter__(self) -> Iterator[Progression]:
+        k, n = self.k, self.n
+        for d in range(self.d_lo, self.d_hi + 1):
+            for a in range(1, n - (k - 1) * d + 1):
+                yield Progression(a, d, k)
+
+    def __getitem__(self, idx: int) -> Progression:
+        if isinstance(idx, slice):
+            raise TypeError("slicing is not supported on the virtual member list")
+        size = len(self)
+        if idx < 0:
+            idx += size
+        if not 0 <= idx < size:
+            raise IndexError(idx)
+        lo, hi = self.d_lo, self.d_hi
+        while lo < hi:  # smallest d with _count_upto(d) > idx
+            mid = (lo + hi) // 2
+            if self._count_upto(mid) > idx:
+                hi = mid
+            else:
+                lo = mid + 1
+        a = idx - self._count_upto(lo - 1) + 1
+        return Progression(a, lo, self.k)
+
+    def slabs(self, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The int64 starts and diffs of the range, in order, ``size`` at
+        a time: the range is never built whole (at k = 3 and n = 2^14 a
+        band of the greedy holds about 21M k-APs)."""
+        ds = np.arange(self.d_lo, self.d_hi + 1, dtype=np.int64)
+        # k-APs of difference ds[i] hold the flat positions ends[i]..ends[i+1]-1
+        ends = np.zeros(len(ds) + 1, dtype=np.int64)
+        np.cumsum(self.n - (self.k - 1) * ds, out=ends[1:])
+        for lo in range(0, int(ends[-1]), size):
+            cut = ends.clip(lo, lo + size)
+            counts = cut[1:] - cut[:-1]
+            diffs = ds.repeat(counts)
+            starts = np.arange(lo + 1, lo + 1 + len(diffs), dtype=np.int64)
+            starts -= ends[:-1].repeat(counts)
+            yield starts, diffs
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every start and diff of the range, in order, as one slab."""
+        none = np.empty(0, dtype=np.int64)
+        return next(self.slabs(len(self) or 1), (none, none))
+
+
 def count_aps(k: int, n: int) -> int:
     """Number of k-APs contained in [1, n], in closed form.
 
@@ -73,10 +150,7 @@ def count_aps(k: int, n: int) -> int:
     """
     _check_k(k)
     _check_n(n)
-    if n < k:
-        return 0
-    d_max = (n - 1) // (k - 1)
-    return d_max * n - (k - 1) * d_max * (d_max + 1) // 2
+    return len(_DiffRange(k, n, 1, (n - 1) // (k - 1)))
 
 
 def enumerate_aps(
@@ -91,7 +165,7 @@ def enumerate_aps(
     """
     _check_k(k)
     _check_n(n)
-    d_cap = (n - 1) // (k - 1) if n >= k else 0
+    d_cap = (n - 1) // (k - 1)
     lo, hi = diff_range or (None, None)
     d_lo = 1 if lo is None else lo
     d_hi = d_cap if hi is None else hi
@@ -99,13 +173,7 @@ def enumerate_aps(
         raise ValueError(
             f"diff_range {(d_lo, d_hi)} is not a subinterval of [1, {d_cap}]"
         )
-
-    def generate() -> Iterator[Progression]:
-        for d in range(d_lo, d_hi + 1):
-            for a in range(1, n - (k - 1) * d + 1):
-                yield Progression(a, d, k)
-
-    return generate()
+    return iter(_DiffRange(k, n, d_lo, d_hi))
 
 
 def intersection_size(p: Progression, q: Progression) -> int:

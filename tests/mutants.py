@@ -7,7 +7,8 @@ directory, makes the edit there and runs tier-1 on the copy with ``-x``.
 It prints one JSON line per mutant: killed (tier-1 failed) or survived,
 and the seconds taken.  An old text that does not occur exactly once is
 an error, so the list cannot silently drift from the code.  A survivor
-names a fault tier-1 cannot see: mend it with a test.
+names a fault tier-1 cannot see: mend it with a test.  The exit code is
+1 if any mutant survives.
 
 Run from the repository root (it is not collected by pytest):
 
@@ -86,6 +87,14 @@ MUTANTS = [
      "mid = min(top, n // k)",
      "mid = min(top, n // k + 1)",
      "_clump_runs counts d starts at one difference too many"),
+    ("progressions.py",
+     "m = d - self.d_lo + 1",
+     "m = d - self.d_lo",
+     "a difference range counts one difference too few"),
+    ("progressions.py",
+     "starts = np.arange(lo + 1, lo + 1 + len(diffs), dtype=np.int64)",
+     "starts = np.arange(lo, lo + len(diffs), dtype=np.int64)",
+     "a difference range's slabs start one start low"),
     ("family.py",
      "d1 = min(d_hi, ((k - 1) * d0 - 1) // (k - 2))",
      "d1 = min(d_hi, (k - 1) * d0 // (k - 2))",
@@ -115,8 +124,8 @@ MUTANTS = [
      "h = min(nw, int(self.have[rows].max()))",
      "the store's have: a point reads the longest stored prefix"),
     ("montecarlo.py",
-     "return sum(fn(at, min(at + size, hi)) for at in range(lo, hi, size))",
-     "return sum(fn(at, min(at + size - 1, hi)) for at in range(lo, hi, size))",
+     "total += fn(at, min(at + size, hi))",
+     "total += fn(at, min(at + size - 1, hi))",
      "the share walk drops the last sample of each range"),
     ("montecarlo.py",
      "ids = misses[at : at + rows]",
@@ -182,7 +191,7 @@ def main() -> int:
                 "seconds": round(time.perf_counter() - start, 1),
             }), flush=True)
     print(f"{killed} of {len(MUTANTS)} mutants killed", file=sys.stderr)
-    return 0
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from apth import family
 from apth.family import (
     _KEY_BUDGET,
-    _band,
     _bands,
     GREEDY_MAX_N,
     APFamily,
@@ -21,7 +20,7 @@ from apth.family import (
     large_diff_family,
     large_diff_family_size,
 )
-from apth.progressions import Progression, elements, intersection_size
+from apth.progressions import _DiffRange, Progression, elements, intersection_size
 
 from oracles import ap_tuples, naive_block_count, naive_greedy, table_greedy
 
@@ -100,6 +99,21 @@ class TestLargeDiffFamily:
         fam = large_diff_family(3, 10**6)
         assert len(fam) == large_diff_family_size(3, 10**6)
         assert fam.certified_almost_disjoint
+
+    def test_two_huge_families_compare_without_arrays(self):
+        # two large-difference families compare by their difference bounds:
+        # their arrays at n = 10^6 would take 444 GB each
+        tracemalloc.start()
+        try:
+            same = large_diff_family(3, 10**6) == large_diff_family(3, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert same
+        assert peak < 1 << 20
+
+    def test_empty_family_is_almost_disjoint(self):
+        assert is_almost_disjoint(large_diff_family(3, 4)) == (True, None)
 
     def test_virtual_members_refuse_slicing(self):
         with pytest.raises(TypeError, match="slicing is not supported"):
@@ -412,14 +426,14 @@ class TestBands:
         # slab several differences, and at k = 17 a candidate's pairs
         # several gathers
         monkeypatch.setattr(family, "_KEY_BUDGET", budget)
-        band, spans = family._band, []
+        slabs, spans = _DiffRange.slabs, []
 
-        def recorded(*args):
-            for starts, diffs in band(*args):
+        def recorded(self, size):
+            for starts, diffs in slabs(self, size):
                 spans.append(len(set(diffs.tolist())))
                 yield starts, diffs
 
-        monkeypatch.setattr(family, "_band", recorded)
+        monkeypatch.setattr(_DiffRange, "slabs", recorded)
         fam = greedy_max_family(k, n, seed_with_large_diff=seeded, order=order)
         assert [(p.start, p.diff) for p in fam] == table_greedy(k, n, seeded, order)
         if order == "lex_by_diff_start":
@@ -434,7 +448,7 @@ class TestBands:
         assert sum(n - 2 * d for d in range(2048, 4096)) == 20_973_568
         tracemalloc.start()
         try:
-            slabs = _band(3, n, 2048, 4095, slab)
+            slabs = _DiffRange(3, n, 2048, 4095).slabs(slab)
             first = next(slabs)
             second = next(slabs)
             _, peak = tracemalloc.get_traced_memory()
@@ -454,11 +468,11 @@ class TestBands:
         # the last slab of 3..5 at n = 20 holds d = 4 and d = 5
         got = [
             (a, d)
-            for starts, diffs in _band(3, 20, 3, 5, 7)
+            for starts, diffs in _DiffRange(3, 20, 3, 5).slabs(7)
             for a, d in zip(starts.tolist(), diffs.tolist())
         ]
         assert got == [(a, d) for d in range(3, 6) for a in range(1, 21 - 2 * d)]
-        assert [len(s) for s, _ in _band(3, 20, 3, 5, 7)] == [7, 7, 7, 7, 7, 1]
+        assert [len(s) for s, _ in _DiffRange(3, 20, 3, 5).slabs(7)] == [7, 7, 7, 7, 7, 1]
 
 
 class TestDensity:

@@ -383,6 +383,41 @@ class TestRanges:
         assert len(tasks) == workers
         assert threading.active_count() == threads
 
+    def test_an_exception_stops_the_other_shares(self, monkeypatch):
+        # at n = 2^22 a range is one 64-row group, so each of two shares of
+        # 64,000 samples walks 500 ranges.  Share 0 raises while share 1
+        # has a range in flight, which returns only once the pool shuts
+        # down: share 1 must walk no further range
+        samples, n = 64_000, 1 << 22
+        assert montecarlo._range_rows(n) == 64
+        in_flight, shutting = threading.Event(), threading.Event()
+        threads, ranges = set(), []
+
+        class Pool(montecarlo.ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                shutting.set()
+                super().shutdown(*args, **kwargs)
+
+        class Boom(Exception):
+            pass
+
+        def fn(lo, hi):
+            threads.add(threading.get_ident())
+            if lo < samples // 2:
+                assert in_flight.wait(10)
+                raise Boom
+            ranges.append((lo, hi))
+            in_flight.set()
+            assert shutting.wait(10)
+            return hi - lo
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+        with pytest.raises(Boom):
+            with montecarlo._runner(2) as run:
+                run(fn, samples, n)
+        assert ranges == [(32_000, 32_064)]
+        assert len(threads) == 2
+
     def test_single_chunk_estimate_keeps_result(self):
         ref = estimate_prob(16, 1156, 600, 4)
         assert estimate_prob(16, 1156, 600, 4, workers=2) == ref

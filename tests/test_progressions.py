@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +6,7 @@ from hypothesis import strategies as st
 from apth.progressions import (
     N_CAP,
     Progression,
+    _DiffRange,
     contained_in,
     count_aps,
     element_mask,
@@ -121,6 +123,68 @@ class TestEnumerateAps:
     def test_matches_oracle_with_range(self):
         got = [tuple(elements(p)) for p in enumerate_aps(4, 30, (2, 5))]
         assert got == ap_tuples(4, 30, d_lo=2, d_hi=5)
+
+
+#: (k, n, d_lo, d_hi): empty ranges (d_hi < d_lo, and n < k), one
+#: difference, several, and every difference of [1, n]
+RANGES = [
+    (3, 20, 4, 3), (4, 3, 1, 0), (3, 3, 1, 1), (3, 20, 3, 5), (4, 30, 2, 5),
+    (5, 41, 1, 10), (3, 12, 4, 5),
+]
+
+
+def naive_range(k, n, d_lo, d_hi):
+    """The (start, diff) pairs of the range, by two loops."""
+    return [(a, d) for d in range(d_lo, d_hi + 1) for a in range(1, n + 1)
+            if a + (k - 1) * d <= n]
+
+
+class TestDiffRange:
+    @pytest.mark.parametrize("k, n, d_lo, d_hi", RANGES)
+    def test_length_and_order(self, k, n, d_lo, d_hi):
+        aps = _DiffRange(k, n, d_lo, d_hi)
+        naive = naive_range(k, n, d_lo, d_hi)
+        assert len(aps) == sum(n - (k - 1) * d for d in range(d_lo, d_hi + 1))
+        assert len(aps) == len(naive)
+        assert [(p.start, p.diff) for p in aps] == naive
+        assert all(p.length == k for p in aps)
+
+    @pytest.mark.parametrize("k, n, d_lo, d_hi", RANGES)
+    def test_count_upto_below_inside_and_above(self, k, n, d_lo, d_hi):
+        aps = _DiffRange(k, n, d_lo, d_hi)
+        naive = naive_range(k, n, d_lo, d_hi)
+        for d in range(d_lo - 3, d_hi + 4):
+            assert aps._count_upto(d) == sum(1 for _, e in naive if e <= d), d
+
+    @pytest.mark.parametrize("k, n, d_lo, d_hi", RANGES)
+    def test_indexing(self, k, n, d_lo, d_hi):
+        aps = _DiffRange(k, n, d_lo, d_hi)
+        naive = naive_range(k, n, d_lo, d_hi)
+        for i in range(-len(naive), len(naive)):
+            assert (aps[i].start, aps[i].diff) == naive[i], i
+        for i in (len(naive), -len(naive) - 1):
+            with pytest.raises(IndexError):
+                aps[i]
+        with pytest.raises(TypeError, match="slicing is not supported"):
+            aps[0:1]
+
+    @pytest.mark.parametrize("k, n, d_lo, d_hi", RANGES)
+    def test_slabs_and_arrays(self, k, n, d_lo, d_hi):
+        aps = _DiffRange(k, n, d_lo, d_hi)
+        naive = naive_range(k, n, d_lo, d_hi)
+        for size in (1, 7, len(naive), len(naive) + 1):
+            if size == 0:
+                continue
+            slabs = list(aps.slabs(size))
+            assert [len(a) for a, _ in slabs] == [
+                min(size, len(naive) - lo) for lo in range(0, len(naive), size)
+            ]
+            assert all(a.dtype == d.dtype == np.int64 for a, d in slabs)
+            got = [(a, d) for s, t in slabs for a, d in zip(s.tolist(), t.tolist())]
+            assert got == naive, size
+        starts, diffs = aps.arrays()
+        assert starts.dtype == diffs.dtype == np.int64
+        assert list(zip(starts.tolist(), diffs.tolist())) == naive
 
 
 class TestIntersectionSize:
