@@ -19,14 +19,14 @@ matrix's slots are live, the rows of the live samples alone are
 bit-sliced again into a narrower matrix, and the scan resumes at the next
 d on it.
 
-The Monte Carlo engine (which saves the generation of early hits by
-detecting on a prefix first), the scalar ``Coloring`` API (a batch of one
-row) and the exact oracles (which build element-major chunks directly,
-have no rows to slice again and scan them whole) all call this kernel,
-which has one path and three sinks for its chains.  Besides
-detection, it counts monochromatic k-APs per sample: the run rows of
-every d are summed column-wise by carry-save (3:2) adder layers into a
-total kept as bit planes, plane j holding bit j of 64 samples' counts.
+The Monte Carlo engine and the scalar ``Coloring`` API hand this kernel
+rows; the exact oracles hand it only n, and their chunks of every
+coloring of [1, n] are built here element-major, with no rows to slice.
+No other module builds or reads an element-major matrix.  The kernel has
+one path and three sinks for its chains.  Besides detection, it counts
+monochromatic k-APs per sample: the run rows of every d are summed
+column-wise by carry-save (3:2) adder layers into a total kept as bit
+planes, plane j holding bit j of 64 samples' counts.
 The exact count distribution reads its histogram from those planes
 directly.  The third sink gives each sample's first hit, the smallest n
 whose prefix [1, n] holds a monochromatic k-AP, which the threshold
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -322,9 +323,12 @@ def _padding(samples: int) -> np.ndarray:
 _REDUCE_WORDS = 2048
 
 
-def _breaks(b: np.ndarray, d: int, k: int, buf: np.ndarray) -> np.ndarray:
-    """Bit s of row i is clear iff elements i+1, i+1+d, ..., i+1+(k-1)d are
-    one color in sample s, for the n-(k-1)d starts of difference d.
+def _breaks(
+    b: np.ndarray, d: int, k: int, buf: np.ndarray, done: int = 0
+) -> np.ndarray:
+    """Bit s of row i is clear iff elements a+i, a+i+d, ..., a+i+(k-1)d are
+    one color in sample s, for the starts a+i <= n-(k-1)d of difference d
+    from a = max(1, done-(k-1)d+1), the first whose k-AP ends past ``done``.
 
     This is the complement of the equal-neighbour chain ~(B[i] ^ B[i+d]):
     a monochromatic k-AP is a run of k-1 equal neighbours, that is k-1
@@ -332,6 +336,7 @@ def _breaks(b: np.ndarray, d: int, k: int, buf: np.ndarray) -> np.ndarray:
     so it costs O(log k) ORs; each one shortens the chain in place in
     ``buf``, and the last leaves exactly the valid starts.
     """
+    b = b[max(0, done - (k - 1) * d) :]
     size = b.shape[0] - d
     chain = np.bitwise_xor(b[:-d], b[d:], out=buf[:size])
     covered = 1
@@ -352,11 +357,11 @@ def _any_mono(
     its first ``samples`` samples with a monochromatic k-AP in [1, n] of
     difference d or more, and the next difference left to scan.
 
-    Only the k-APs ending past element ``done`` are checked: for each d the
-    scan starts at row max(0, done - (k-1)d), as in ``_first_hits``, which
-    is exact for samples with none in [1, done].  The whole matrix is
-    scanned for each d until no sample is left alive, that is without a
-    hit: a sample stays alive while its bit is set in every break row.
+    Only the k-APs ending past element ``done`` are checked (see
+    ``_breaks``), which is exact for samples with none in [1, done].  The
+    whole matrix is scanned for each d until no sample is left alive, that
+    is without a hit: a sample stays alive while its bit is set in every
+    break row.
     The padding slots start out dead, so they never prolong the scan, and
     are cleared from the result.  With ``halve``, on a matrix of more than
     one group, the scan also stops once at most half of its slots are
@@ -379,7 +384,7 @@ def _any_mono(
     part = np.empty(r * groups, dtype=np.uint64)
     halve = halve and groups > 1
     while d <= (n - 1) // (k - 1):
-        chain = _breaks(b[max(0, done - (k - 1) * d) :], d, k, buf)
+        chain = _breaks(b, d, k, buf, done)
         q = chain.shape[0] // r
         if r > 1 and q:
             np.bitwise_and.reduce(
@@ -520,18 +525,15 @@ def _plane_values(planes: np.ndarray, samples: int) -> np.ndarray:
     return _bitsliced(planes, samples)[:, 0].view(np.int64)
 
 
-def _first_hits(
-    b: np.ndarray, n: int, k: int, samples: int, *, done: int = 0
-) -> np.ndarray:
-    """Per sample of the element-major ``b``, its first hit: the smallest
-    n' <= n whose prefix [1, n'] holds a monochromatic k-AP, or n + 1 if
-    [1, n] holds none, as an int64 vector of the first ``samples``.
+def _first_hits(words: np.ndarray, n: int, k: int, done: int = 0) -> np.ndarray:
+    """Per row of ``words`` (laid out as for ``batch_has_mono_ap``), its
+    first hit: the smallest n' <= n whose prefix [1, n'] holds a
+    monochromatic k-AP, or n + 1 if [1, n] holds none, as an int64 vector.
 
-    Only the k-APs ending past element ``done`` are checked: for each d
-    the scan starts at row max(0, done - (k-1)d).  That is exact for
-    samples with no monochromatic k-AP in [1, done], which the caller
-    must guarantee; a sample whose only ones end at or before ``done``
-    reads n + 1.  ``ValueError`` unless 0 <= done < n.
+    Only the k-APs ending past element ``done`` are checked (see
+    ``_breaks``).  That is exact for rows with no monochromatic k-AP in
+    [1, done], which the caller must guarantee; a row whose only ones end
+    at or before ``done`` reads n + 1.  ``ValueError`` unless 0 <= done < n.
 
     The break rows of each d are ANDed into an end-aligned matrix, whose
     row e is clear for a sample once a monochromatic k-AP of it ends at
@@ -542,11 +544,12 @@ def _first_hits(
     """
     if not 0 <= done < n:
         raise ValueError(f"done must lie in [0, n={n}), got {done}")
+    b = _bitsliced(words, n)
     rows = n - done
     ends = np.full((rows, b.shape[1]), _FULL_WORD)
     buf = np.empty_like(b)
     for d in range(1, (n - 1) // (k - 1) + 1):
-        chain = _breaks(b[max(0, done - (k - 1) * d) :], d, k, buf)
+        chain = _breaks(b, d, k, buf, done)
         ends[rows - chain.shape[0] :] &= chain
     shift = 1
     while shift < rows:
@@ -555,7 +558,7 @@ def _first_hits(
     planes = np.empty((rows.bit_length(), b.shape[1]), dtype=np.uint64)
     for j, plane in enumerate(planes):
         np.bitwise_xor.reduce(ends[(1 << j) - 1 :: 1 << j], axis=0, out=plane)
-    return done + 1 + _plane_values(planes, samples)
+    return done + 1 + _plane_values(planes, words.shape[0])
 
 
 def _plane_histogram(planes: np.ndarray, samples: int, top: int) -> np.ndarray:
@@ -638,3 +641,94 @@ def batch_count_mono_aps(words: np.ndarray, n: int, k: int) -> np.ndarray:
     _check_rows(words, n, k)
     planes = _mono_counts(_bitsliced(words, n), n, k)
     return _plane_values(planes, words.shape[0])
+
+
+# --- exact enumeration ------------------------------------------------------
+#
+# The exact oracles' chunks go to the kernel bodies, not to the public
+# functions on rows, which ``bench/tracing.py`` counts as detection.
+
+#: Elements 2..7 of the 64 colorings of one group: element j+2 of the
+#: coloring in bit s is bit j of s (0xAAAA..., 0xCCCC..., 0xF0F0..., ...).
+_LOW_ELEMENTS = np.array(
+    [sum(1 << s for s in range(64) if s >> j & 1) for j in range(6)],
+    dtype=np.uint64,
+)
+
+
+def _coloring_chunks(n: int) -> Iterator[tuple[np.ndarray, int]]:
+    """All colorings of [1, n] with element 1 red, as element-major chunks,
+    each with its number of colorings.
+
+    Coloring y (element j+2 red iff bit j of y is set) sits in bit y % 64
+    of group y // 64.  So element 1 is all ones, elements 2..7 are the
+    fixed ``_LOW_ELEMENTS`` words, and every higher element is all ones or
+    all zeros by one bit of the group index.  For n < 7 the single group
+    holds fewer than 64 colorings; its other slots are padding.  A chunk
+    holds the kernel budget's groups, ``_kernel_groups(n)``: 5,461 groups
+    (349,504 colorings) at n = 24.
+
+    Every chunk is written into one buffer, so a chunk is valid only until
+    the next is requested; a caller that keeps chunks copies them.  Freed
+    and fresh chunk-sized blocks would otherwise alternate with whatever
+    scratch the caller holds, taking new pages for most chunks.
+    """
+    half = 1 << (n - 1)
+    groups = -(-half // 64)
+    low = min(n, 7)
+    one = np.uint64(1)
+    step = min(_kernel_groups(n), groups)
+    buf = np.empty((n, step), dtype=np.uint64)
+    buf[0] = _FULL_WORD
+    buf[1:low] = _LOW_ELEMENTS[: low - 1, None]
+    for lo in range(0, groups, step):
+        g = np.arange(lo, min(lo + step, groups), dtype=np.uint64)
+        chunk = buf[:, : g.size]
+        high = chunk[low:]
+        np.right_shift(g, np.arange(n - low, dtype=np.uint64)[:, None], out=high)
+        high &= one
+        np.negative(high, out=high)  # all ones where the bit is set
+        yield chunk, min(64 * g.size, half)
+
+
+def _mono_colorings(n: int, k: int) -> int:
+    """How many colorings of [1, n] with element 1 red hold a
+    monochromatic k-AP."""
+    hits = 0
+    for x, count in _coloring_chunks(n):
+        # the last chunk's padding slots past ``count`` are not reported
+        hits += int(np.bitwise_count(_any_mono(x, n, k, count)[0]).sum())
+    return hits
+
+
+def _mono_count_histogram(n: int, k: int) -> np.ndarray:
+    """hist[r], for r = 0..count_aps(k, n), is how many colorings of [1, n]
+    with element 1 red hold exactly r monochromatic k-APs.
+
+    Per chunk, ``_mono_counts`` sums the run rows into bit planes with
+    carry-save adders, and ``_plane_histogram`` counts the colorings of
+    each value by a depth-first walk over the planes, one popcount per
+    value; the counts are never transposed to one word per coloring.
+    """
+    top = count_aps(k, n)
+    hist = np.zeros(top + 1, dtype=np.int64)
+    buffers = None
+    for x, count in _coloring_chunks(n):
+        buffers = buffers or _count_buffers(n, k, x.shape[1])
+        hist += _plane_histogram(_mono_counts(x, n, k, buffers), count, top)
+    return hist
+
+
+def _member_mono_colorings(n: int, members: np.ndarray) -> int:
+    """How many colorings of [1, n] with element 1 red make some row of
+    ``members``, a matrix of elements of [1, n], monochromatic."""
+    if not len(members):
+        return 0
+    hits = 0
+    for x, count in _coloring_chunks(n):
+        # a member is mono where no element differs from its first
+        mono = np.zeros(x.shape[1], dtype=np.uint64)
+        for e in members - 1:
+            mono |= ~np.bitwise_or.reduce(x[e[1:]] ^ x[e[0]], axis=0)
+        hits += int(np.bitwise_count(mono & ~_padding(count)).sum())
+    return hits

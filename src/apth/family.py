@@ -20,6 +20,7 @@ one progression at a time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -79,6 +80,7 @@ class _PackedMembers(Sequence):
     def __getitem__(self, idx):
         if isinstance(idx, slice):
             return tuple(_PackedMembers(self.k, self.starts[idx], self.diffs[idx]))
+        idx = operator.index(idx)
         return Progression(int(self.starts[idx]), int(self.diffs[idx]), self.k)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:

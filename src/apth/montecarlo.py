@@ -15,8 +15,9 @@ Estimates are staged on it: ``estimate_prob`` detects every sample on
 [1, 64(k-1)] first and generates [1, n] only for the samples that missed
 there, so past the threshold most rows are never generated whole.  The
 second stage knows that its samples miss on the first stage's prefix, so
-it scans only the k-APs that end past it.  Within each stage the kernel
-drops the samples that have hit as it goes (see ``apth.coloring``).
+it scans only the k-APs that end past it.  Every detection hands the
+kernel rows of words, and it drops the samples that have hit as it goes
+(see ``apth.coloring``).
 
 The same prefix property lets ``threshold_search`` carry what it learns
 from point to point: a sample with a monochromatic k-AP in [1, n] has one
@@ -58,7 +59,6 @@ import numpy as np
 from . import _philox, coloring
 from .coloring import (
     WORD_BITS,
-    _bitsliced,
     _check_matrix,
     _first_hits,
     _has_mono,
@@ -269,17 +269,22 @@ class ScalingReport:
 
 def _count_hits(k: int, n: int, head: int, seed: int, lo: int, hi: int) -> int:
     """Successes among samples lo..hi-1, detected in two stages: all of
-    them on [1, head], then those that missed there on [1, n], in slices
-    of ``_range_rows(n)``, scanning only the k-APs that end past head."""
+    them on [1, head], then those that missed there on [1, n], scanning
+    only the k-APs that end past head.  The m misses are cut into
+    ceil(m / ``_range_rows(n)``) slices of whole 64-sample groups whose
+    group counts differ by at most one, the last holding what is left of
+    its group, so no slice is left short.  Slices of equal rows would pad
+    a group in every slice."""
     # no name holds a batch's words, so each is freed before the next is
     # generated
     ids = np.arange(lo, hi, dtype=np.uint64)
     misses = ids[~batch_has_mono_ap(_philox.words(seed, ids, _word_count(head)), head, k)]
     successes = ids.size - misses.size
-    if head < n:
-        rows = _range_rows(n)
-        for at in range(0, misses.size, rows):
-            ids = misses[at : at + rows]
+    if head < n and misses.size:
+        groups = -(-misses.size // WORD_BITS)
+        slices = -(-misses.size // _range_rows(n))
+        cuts = [WORD_BITS * (groups * j // slices) for j in range(1, slices)]
+        for ids in np.split(misses, cuts):
             hits = _has_mono(_philox.words(seed, ids, _word_count(n)), n, k, done=head)
             successes += int(np.count_nonzero(hits))
     return successes
@@ -336,10 +341,10 @@ def estimate_prob(
     counted in the two stages the module docstring describes, and summed
     over ranges that each thread makes as it walks its share of the
     samples.  The ranges are sized for the first stage, on [1, head];
-    each range's misses reach the second in slices sized for [1, n], and
-    no range keeps more than its own, so memory does not grow with
-    ``samples``.  The result is a pure function of (k, n, samples, seed)
-    regardless of ``workers``.
+    each range's misses reach the second in near-equal slices sized for
+    [1, n], and no range keeps more than its own, so memory does not grow
+    with ``samples``.  The result is a pure function of (k, n, samples,
+    seed) regardless of ``workers``.
     """
     _check_k(k)
     _check_n(n)
@@ -489,8 +494,7 @@ def _search(
         and return how many hit; none hits on [1, min(miss_to)], so only
         later ends are scanned.  Threads detect disjoint rows."""
         done = max(0, int(known.miss_to[rows].min()))
-        b = _bitsliced(known.colorings(n, rows), n)
-        first = _first_hits(b, n, k, rows.size, done=done)
+        first = _first_hits(known.colorings(n, rows), n, k, done)
         known.hit[rows] = first <= n
         known.miss_to[rows] = first - 1
         return int(np.count_nonzero(first <= n))

@@ -1,8 +1,9 @@
 """Exact small-scale probability oracles and closed-form bound evaluators.
 
-The exact oracles enumerate all 2^n colorings of [1, n] (halved by fixing
-element 1 red, since complementation preserves monochromaticity) and are
-gated by a brute-force cap.  Results are exact integers / rationals.
+The exact oracles count over all 2^n colorings of [1, n], which the
+``apth.coloring`` kernel enumerates (halved by fixing element 1 red, since
+complementation preserves monochromaticity); they are gated by a
+brute-force cap.  Results are exact integers / rationals.
 
 The bound evaluators are plain double-precision formulas:
 
@@ -26,18 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, isqrt, log1p
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-import numpy as np
-
-from .coloring import (
-    _any_mono,
-    _count_buffers,
-    _kernel_groups,
-    _mono_counts,
-    _padding,
-    _plane_histogram,
-)
+from .coloring import _member_mono_colorings, _mono_colorings, _mono_count_histogram
 from .errors import BruteForceCapError
 from .family import (
     APFamily,
@@ -70,13 +62,6 @@ _HARD_ENUM_LIMIT = 63
 #: about 2,500 digits, far beyond any k a Monte Carlo run can reach.
 _BOUND_K_MAX = 1 << 14
 
-#: Elements 2..7 of the 64 colorings of one group: element j+2 of the
-#: coloring in bit s is bit j of s (0xAAAA..., 0xCCCC..., 0xF0F0..., ...).
-_LOW_ELEMENTS = np.array(
-    [sum(1 << s for s in range(64) if s >> j & 1) for j in range(6)],
-    dtype=np.uint64,
-)
-
 
 def _check_cap(n: int, cap: int | None) -> None:
     cap = DEFAULT_BRUTE_CAP if cap is None else cap
@@ -87,46 +72,6 @@ def _check_cap(n: int, cap: int | None) -> None:
             f"exact enumeration indexes colorings by 64-bit words; "
             f"n={n} exceeds the architectural limit {_HARD_ENUM_LIMIT}"
         )
-
-
-# The chunks are element-major already, so the oracles call the kernel
-# bodies, not the public functions on sample-major rows; those are what
-# ``bench/tracing.py`` counts as the detection layer.
-
-
-def _coloring_chunks(n: int) -> Iterator[tuple[np.ndarray, int]]:
-    """All colorings of [1, n] with element 1 red, as element-major chunks
-    for the ``coloring`` kernel, each with its number of colorings.
-
-    Coloring y (element j+2 red iff bit j of y is set) sits in bit y % 64
-    of group y // 64.  So element 1 is all ones, elements 2..7 are the
-    fixed ``_LOW_ELEMENTS`` words, and every higher element is all ones or
-    all zeros by one bit of the group index.  For n < 7 the single group
-    holds fewer than 64 colorings; its other slots are padding.  A chunk
-    holds the kernel budget's groups, ``_kernel_groups(n)``: 5,461 groups
-    (349,504 colorings) at n = 24.
-
-    Every chunk is written into one buffer, so a chunk is valid only until
-    the next is requested; a caller that keeps chunks copies them.  Freed
-    and fresh chunk-sized blocks would otherwise alternate with whatever
-    scratch the caller holds, taking new pages for most chunks.
-    """
-    half = 1 << (n - 1)
-    groups = -(-half // 64)
-    low = min(n, 7)
-    one = np.uint64(1)
-    step = min(_kernel_groups(n), groups)
-    buf = np.empty((n, step), dtype=np.uint64)
-    buf[0] = ~np.uint64(0)
-    buf[1:low] = _LOW_ELEMENTS[: low - 1, None]
-    for lo in range(0, groups, step):
-        g = np.arange(lo, min(lo + step, groups), dtype=np.uint64)
-        chunk = buf[:, : g.size]
-        high = chunk[low:]
-        np.right_shift(g, np.arange(n - low, dtype=np.uint64)[:, None], out=high)
-        high &= one
-        np.negative(high, out=high)  # all ones where the bit is set
-        yield chunk, min(64 * g.size, half)
 
 
 @dataclass(frozen=True)
@@ -193,35 +138,19 @@ def exact_prob_mono(k: int, n: int, cap: int | None = None) -> Fraction:
     _check_cap(n, cap)
     if n < k:
         return Fraction(0)
-    hits = 0
-    for x, count in _coloring_chunks(n):
-        # the last chunk's padding slots past ``count`` are not reported
-        hits += int(np.bitwise_count(_any_mono(x, n, k, count)[0]).sum())
-    return Fraction(2 * hits, 1 << n)
+    return Fraction(2 * _mono_colorings(n, k), 1 << n)
 
 
 def mono_count_distribution(
     k: int, n: int, cap: int | None = None
 ) -> ExactDistribution:
-    """Exact counts of colorings by their number of monochromatic k-APs.
-
-    Per chunk, ``_mono_counts`` sums the run rows into bit planes with
-    carry-save adders, and ``_plane_histogram`` counts the colorings of
-    each value by a depth-first walk over the planes, one popcount per
-    value; the counts are never transposed to one word per coloring.
-    """
+    """Exact counts of colorings by their number of monochromatic k-APs."""
     _check_k(k)
     _check_n(n)
     _check_cap(n, cap)
     if n < k:
         return ExactDistribution(k, n, {0: 1 << n}, 1 << n)
-    top = count_aps(k, n)
-    hist = np.zeros(top + 1, dtype=np.int64)
-    buffers = None
-    for x, count in _coloring_chunks(n):
-        buffers = buffers or _count_buffers(n, k, x.shape[1])
-        hist += _plane_histogram(_mono_counts(x, n, k, buffers), count, top)
-    counts = {int(r): 2 * int(c) for r, c in enumerate(hist) if c}
+    counts = {r: 2 * int(c) for r, c in enumerate(_mono_count_histogram(n, k)) if c}
     return ExactDistribution(k, n, counts, 1 << n)
 
 
@@ -288,17 +217,7 @@ def union_mono_exact(family: APFamily, s: int, cap: int | None = None) -> int:
     for p in family:
         if not contained_in(p, s):
             raise ValueError(f"member {p} is not contained in [1, {s}]")
-    members = _member_elements(family) - 1
-    if not len(members):
-        return 0
-    hits = 0
-    for x, count in _coloring_chunks(s):
-        # a member is mono where no element differs from its first
-        mono = np.zeros(x.shape[1], dtype=np.uint64)
-        for e in members:
-            mono |= ~np.bitwise_or.reduce(x[e[1:]] ^ x[e[0]], axis=0)
-        hits += int(np.bitwise_count(mono & ~_padding(count)).sum())
-    return 2 * hits
+    return 2 * _member_mono_colorings(s, _member_elements(family))
 
 
 def expected_mono(k: int, n: int) -> float:

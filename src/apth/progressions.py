@@ -12,6 +12,7 @@ clumping count all read one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -105,6 +106,7 @@ class _DiffRange(Sequence):
     def __getitem__(self, idx: int) -> Progression:
         if isinstance(idx, slice):
             raise TypeError("slicing is not supported on the virtual member list")
+        idx = operator.index(idx)
         size = len(self)
         if idx < 0:
             idx += size

@@ -38,17 +38,9 @@ MUTANTS = [
      "step = covered",
      "the doubling in _breaks overshoots the run"),
     ("coloring.py",
-     "chain = _breaks(b[max(0, done - (k - 1) * d) :], d, k, buf)\n"
-     "        ends[",
-     "chain = _breaks(b[max(0, done - (k - 1) * d) + 1 :], d, k, buf)\n"
-     "        ends[",
-     "the resumed scan of _first_hits starts one row late"),
-    ("coloring.py",
-     "chain = _breaks(b[max(0, done - (k - 1) * d) :], d, k, buf)\n"
-     "        q = ",
-     "chain = _breaks(b[max(0, done - (k - 1) * d) + 1 :], d, k, buf)\n"
-     "        q = ",
-     "the stage-2 scan of _any_mono starts one row late"),
+     "b = b[max(0, done - (k - 1) * d) :]",
+     "b = b[max(0, done - (k - 1) * d) + 1 :]",
+     "a resumed scan starts one row late"),
     ("coloring.py",
      "live = live[~got]",
      "live = live",
@@ -59,10 +51,14 @@ MUTANTS = [
      "the scan resumes one d late after a repack"),
     ("coloring.py",
      "    for d in range(1, (n - 1) // (k - 1) + 1):\n"
-     "        chain = _breaks(b[max(0, done",
+     "        chain = _breaks(b, d, k, buf, done)",
      "    for d in range(1, (n - 1) // (k - 1)):\n"
-     "        chain = _breaks(b[max(0, done",
+     "        chain = _breaks(b, d, k, buf, done)",
      "_first_hits skips the largest d"),
+    ("coloring.py",
+     "np.right_shift(g, np.arange(n - low, dtype=np.uint64)[:, None], out=high)",
+     "np.right_shift(g, np.arange(1, n - low + 1, dtype=np.uint64)[:, None], out=high)",
+     "the exact enumeration's high elements skip a bit of the group index"),
     ("coloring.py",
      "if high <= top:",
      "if high < top:",
@@ -128,8 +124,8 @@ MUTANTS = [
      "total += fn(at, min(at + size - 1, hi))",
      "the share walk drops the last sample of each range"),
     ("montecarlo.py",
-     "ids = misses[at : at + rows]",
-     "ids = misses[at + 1 : at + rows]",
+     "np.split(misses, cuts)",
+     "np.split(misses[1:], cuts)",
      "estimate_prob's stage-2 slice skips a miss"),
     ("montecarlo.py",
      "known.miss_to[rows] = first - 1",

@@ -52,7 +52,7 @@ def mono_free_frontiers(k: int):
     scan assumes, so a row reads n + 1 iff it stays free on [1, n]."""
     import numpy as np
 
-    from apth.coloring import _bitsliced, _first_hits
+    from apth.coloring import _first_hits
 
     frontier = np.ones((1, 1), dtype=np.uint64)
     n = 1
@@ -60,7 +60,7 @@ def mono_free_frontiers(k: int):
         yield n, frontier[:, 0]
         n += 1
         rows = np.concatenate([frontier, frontier | np.uint64(1 << (n - 1))])
-        first = _first_hits(_bitsliced(rows, n), n, k, len(rows), done=n - 1)
+        first = _first_hits(rows, n, k, done=n - 1)
         frontier = rows[first == n + 1]
         assert len(frontier) <= 1 << 12, (n, len(frontier))
     yield n, frontier[:, 0]

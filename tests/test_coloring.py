@@ -588,10 +588,6 @@ class TestFirstHits:
     # it per sample, so no sample that has hit is detected again
     _random_words = TestBatchKernel._random_words
 
-    @staticmethod
-    def _first_hits(words, n, k, done=0):
-        return _first_hits(_bitsliced(words, n), n, k, words.shape[0], done=done)
-
     @pytest.mark.parametrize("k", range(3, 9))
     def test_matches_naive_oracle(self, k):
         wide = 300
@@ -604,7 +600,7 @@ class TestFirstHits:
         for n in (1, k - 1, 63, 64, 65, 127, 128, 129, 130, 256, 257, wide):
             prefix = _prefix(words, n)
             expected = np.minimum(first, n + 1)
-            got = self._first_hits(prefix, n, k)
+            got = _first_hits(prefix, n, k)
             assert got.dtype == np.int64
             assert np.array_equal(got, expected), (k, n)
             # done just below some row's first hit keeps that row on the edge
@@ -613,7 +609,7 @@ class TestFirstHits:
                 keep = expected > done
                 if done >= n or not keep.any():
                     continue
-                got = self._first_hits(prefix[keep], n, k, done=done)
+                got = _first_hits(prefix[keep], n, k, done=done)
                 assert np.array_equal(got, expected[keep]), (k, n, done)
 
     @pytest.mark.parametrize("k", range(3, 9))
@@ -624,20 +620,20 @@ class TestFirstHits:
         n = 160
         words = self._random_words(200 + k, 60, n)
         rows = [int.from_bytes(r.astype("<u8").tobytes(), "little") for r in words]
-        at_k = self._first_hits(words, n, k)
-        at_next = self._first_hits(words, n, k + 1)
+        at_k = _first_hits(words, n, k)
+        at_next = _first_hits(words, n, k + 1)
         assert at_k.tolist() == [naive_first_hit(bits, k, n) for bits in rows]
         assert at_next.tolist() == [naive_first_hit(bits, k + 1, n) for bits in rows]
         assert (at_next >= at_k).all()
         assert (at_next > at_k).any()
         # so k+1 may resume past the smallest first hit at k
         done = int(at_k.min()) - 1
-        assert np.array_equal(self._first_hits(words, n, k + 1, done=done), at_next)
+        assert np.array_equal(_first_hits(words, n, k + 1, done=done), at_next)
 
     def test_agrees_with_detection_and_counts(self):
         k, n = 5, 200
         words = self._random_words(9, 500, n)
-        first = self._first_hits(words, n, k)
+        first = _first_hits(words, n, k)
         assert np.array_equal(first <= n, batch_has_mono_ap(words, n, k))
         assert np.array_equal(first <= n, batch_count_mono_aps(words, n, k) > 0)
         for cut in (int(first.min()), int(np.median(first)), n):
@@ -654,16 +650,16 @@ class TestFirstHits:
         e = int(first[r])
         row = words[r : r + 1]
         assert naive_first_hit(int(row[0, 0]), k, n) == e
-        assert self._first_hits(row, n, k).tolist() == [e]
-        assert self._first_hits(row, n, k, done=e - 1).tolist() == [e]
-        assert self._first_hits(row, n, k, done=e).tolist() == [n + 1]
-        assert self._first_hits(row, n, k, done=n - 1).tolist() == [n + 1]
+        assert _first_hits(row, n, k).tolist() == [e]
+        assert _first_hits(row, n, k, done=e - 1).tolist() == [e]
+        assert _first_hits(row, n, k, done=e).tolist() == [n + 1]
+        assert _first_hits(row, n, k, done=n - 1).tolist() == [n + 1]
 
     @pytest.mark.parametrize("done", [-1, 100, 101])
     def test_rejects_done_outside_the_row(self, done):
         words = self._random_words(5, 70, 100)
         with pytest.raises(ValueError):
-            self._first_hits(words, 100, 3, done=done)
+            _first_hits(words, 100, 3, done=done)
 
 
 class TestMonoFreeFrontier:
@@ -720,17 +716,11 @@ class TestBitSliced:
             assert batch_has_mono_ap(drawn, n, k).tolist() == has.tolist()
             assert batch_count_mono_aps(drawn, n, k).tolist() == counts.tolist()
 
-    def test_padding_slots_never_count(self, monkeypatch):
+    def test_padding_slots_never_count(self, scans):
         # 70 all-blue rows: the 58 padding slots of the second group are
         # blue too, and must neither be reported nor keep the scan going
         # past d = 1, where every real row hits
-        scanned = []
-
-        def breaks(b, d, k, buf):
-            scanned.append(d)
-            return _breaks(b, d, k, buf)
-
-        monkeypatch.setattr(coloring, "_breaks", breaks)
+        scanned = scans(lambda b, d, done, chain: d)
         words = np.zeros((70, 1), dtype=np.uint64)
         found, d = _any_mono(_bitsliced(words, 5), 5, 3, 70)
         assert found.tolist() == [0xFFFFFFFFFFFFFFFF, (1 << 6) - 1]
@@ -755,7 +745,7 @@ class TestBitSliced:
             y = np.arange(1 << (n - 1), dtype=np.uint64)
             rows = ((y << np.uint64(1)) | np.uint64(1)).reshape(-1, 1)
             # each chunk overwrites the one before, so keep copies
-            chunks = [(x.copy(), c) for x, c in probability._coloring_chunks(n)]
+            chunks = [(x.copy(), c) for x, c in coloring._coloring_chunks(n)]
             assert sum(count for _, count in chunks) == rows.shape[0]
             groups = -(-rows.shape[0] // 64)
             assert chunks[0][0].shape[1] == min(groups_per_chunk, groups)
@@ -795,17 +785,9 @@ class TestAnyMonoSplit:
         # r = 1: one plain reduce of the chain's 17 to 2 rows
         (20, 4, 2050, {17, 14, 11, 8, 5, 2}),
     ])
-    def test_matches_direct_scan(self, monkeypatch, n, k, groups, qs):
-        scanned, seen = [], set()
+    def test_matches_direct_scan(self, scans, n, k, groups, qs):
         r = max(1, coloring._REDUCE_WORDS // groups)
-
-        def breaks(b, d, k, buf):
-            chain = _breaks(b, d, k, buf)
-            scanned.append(d)
-            seen.add(chain.shape[0] // r)
-            return chain
-
-        monkeypatch.setattr(coloring, "_breaks", breaks)
+        calls = scans(lambda b, d, done, chain: (d, chain.shape[0] // r))
         samples = 64 * groups - 5
         words = self._random_words(n + groups, samples, n)
         found, d = _any_mono(_bitsliced(words, n), n, k, samples)
@@ -816,8 +798,8 @@ class TestAnyMonoSplit:
         # the scan stops at the d where the last sample first hits, or
         # runs through every d if some sample never does
         stop = first.max() if first.all() else (n - 1) // (k - 1)
-        assert scanned == list(range(1, stop + 1)) and d == stop + 1
-        assert seen == qs
+        assert [d for d, _ in calls] == list(range(1, stop + 1)) and d == stop + 1
+        assert {q for _, q in calls} == qs
         if n <= 200:
             for i in range(8):
                 bits = int.from_bytes(words[i].astype("<u8").tobytes(), "little")
@@ -888,7 +870,7 @@ class TestLiveRepack:
         assert not batch_has_mono_ap(words, 6, 7).any()
         assert sliced == []
 
-    def test_repack_after_the_last_d(self, monkeypatch):
+    def test_repack_after_the_last_d(self, monkeypatch, scans):
         # on [1, 13] k = 7 has d = 1 and 2 only.  100 rows hit at d = 2
         # (the odd elements are red), 28 never do; 28 live of 128 slots
         # would call for a repack, but no d is left, so none is made
@@ -898,17 +880,11 @@ class TestLiveRepack:
         words = np.array([[odd]] * 100 + [[free]] * 28, dtype=np.uint64)
         assert self._naive(words, n, k) == [True] * 100 + [False] * 28
         sliced = self._counted_slices(monkeypatch)
-        scanned = []
-
-        def breaks(b, d, k, buf):
-            scanned.append((d, b.shape[1]))
-            return _breaks(b, d, k, buf)
-
-        monkeypatch.setattr(coloring, "_breaks", breaks)
+        scanned = scans(lambda b, d, done, chain: (d, b.shape[1]))
         assert batch_has_mono_ap(words, n, k).tolist() == [True] * 100 + [False] * 28
         assert sliced == [128] and scanned == [(1, 2), (2, 2)]
 
-    def test_groups_follow_the_live_samples(self, monkeypatch):
+    def test_groups_follow_the_live_samples(self, scans):
         # estimate_prob(10, 576, 2000, 1) is one range of 32 groups on the
         # first stage's [1, 576], with no second stage.  Every sample hits
         # by d = 14; after d = 1, 2, ... there are 1154, 716, 424, 268, 141,
@@ -925,13 +901,7 @@ class TestLiveRepack:
             live -= np.count_nonzero(first == d)
             if groups > 1 and 2 * live <= 64 * groups:
                 groups = -(-live // 64)
-        scanned = []
-
-        def breaks(b, d, k, buf):
-            scanned.append(b.shape[1])
-            return _breaks(b, d, k, buf)
-
-        monkeypatch.setattr(coloring, "_breaks", breaks)
+        scanned = scans(lambda b, d, done, chain: b.shape[1])
         est = montecarlo.estimate_prob(k, n, samples, 1)
         assert est.successes == np.count_nonzero(first)
         assert scanned == want
@@ -939,7 +909,7 @@ class TestLiveRepack:
         assert 32 * len(want) == 448 and sum(want) == 105
 
     @pytest.mark.parametrize("done", [6, 30, 63])
-    def test_resumed_scan_matches_naive_oracle(self, monkeypatch, done):
+    def test_resumed_scan_matches_naive_oracle(self, monkeypatch, scans, done):
         # rows with no monochromatic 7-AP in [1, done]: the k-APs ending
         # there are skipped, and the rest decide the row
         n, k = 90, 7
@@ -952,16 +922,14 @@ class TestLiveRepack:
         ])
         rows = words[free][:400]
         assert rows.shape[0] > 64
-        scanned = []
-
-        def breaks(b, d, k, buf):
-            scanned.append((d, b.shape[0]))
-            return _breaks(b, d, k, buf)
-
-        monkeypatch.setattr(coloring, "_breaks", breaks)
+        scanned = scans(lambda b, d, resume, chain: (d, resume, chain.shape[0]))
         got = coloring._has_mono(rows, n, k, done)
-        # each d's scan starts at row max(0, done - (k-1)d)
-        assert all(m == n - max(0, done - (k - 1) * d) for d, m in scanned)
+        # each d's scan resumes at done: its starts run from
+        # max(1, done - (k-1)d + 1) to n - (k-1)d
+        assert all(
+            r == done and m == n - (k - 1) * d - max(0, done - (k - 1) * d)
+            for d, r, m in scanned
+        )
         monkeypatch.undo()
         assert got.tolist() == self._naive(rows, n, k)
         assert got.tolist() == batch_has_mono_ap(rows, n, k).tolist()
@@ -1050,7 +1018,7 @@ class TestPlaneHistogram:
         # below n = 7 the one group of the enumeration has padding slots
         for k in range(3, n + 1):
             top = probability.count_aps(k, n)
-            for x, count in probability._coloring_chunks(n):
+            for x, count in coloring._coloring_chunks(n):
                 planes = _mono_counts(x, n, k)
                 hist = _plane_histogram(planes, count, top)
                 expected = np.bincount(_plane_values(planes, count), minlength=top + 1)

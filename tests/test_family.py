@@ -2,6 +2,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,6 +181,17 @@ class TestPackedMembers:
         with pytest.raises(IndexError):
             fam.members[len(fam)]
         assert all(type(p.start) is int and type(p.diff) is int for p in fam)
+
+    @pytest.mark.parametrize("lazy", [True, False], ids=["virtual", "packed"])
+    def test_index_types(self, lazy):
+        # a numpy integer indexes as an int does, into plain-int fields;
+        # a float is refused
+        fam = large_diff_family(3, 30) if lazy else greedy_max_family(3, 30)
+        got = fam.members[np.int64(2)]
+        assert got == fam.members[2]
+        assert all(type(v) is int for v in (got.start, got.diff, got.length))
+        with pytest.raises(TypeError):
+            fam.members[2.0]
 
     def test_virtual_and_packed_agree(self):
         for k in (3, 4, 7):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apth import _philox, coloring, montecarlo, probability
+from apth import _philox, coloring, montecarlo
 from apth.errors import SearchCeilingError
 from apth.montecarlo import (
     ProbEstimate,
@@ -437,27 +437,11 @@ class TestKernelBudget:
             mono_count_distribution(5, 16),
         )
 
-    def test_small_budget_bounds_every_matrix(self, monkeypatch):
+    def test_small_budget_bounds_every_matrix(self, monkeypatch, scans):
         # a 4,096-word budget splits every producer's batches; no matrix
-        # passes max(budget, n) words, and no result changes
-        calls = []  # per kernel call: its matrix words and n
-
-        def counted(module, name):
-            kernel = getattr(module, name)
-
-            def wrapped(b, n, *args, **kwargs):
-                calls.append((b.size, n))
-                return kernel(b, n, *args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapped)
-
-        for module, name in (
-            (coloring, "_any_mono"),
-            (probability, "_any_mono"),
-            (probability, "_mono_counts"),
-            (montecarlo, "_first_hits"),
-        ):
-            counted(module, name)
+        # passes max(budget, n) words, and no result changes.  Every sink
+        # scans its whole matrix through _breaks, once per d
+        calls = scans(lambda b, d, done, chain: (b.size, b.shape[0]))
         ref = self._outputs()
         whole = len(calls)
         assert max(words for words, _ in calls) > 4096
@@ -473,33 +457,50 @@ class TestKernelBudget:
         # stage's [1, 960] and slices the second stage at one group of
         # [1, 1600], so most ranges' misses take two slices; every thread
         # count gets a share, and the count equals one pass on whole rows.
-        # The second stage skips the k-APs that end in [1, 960]
+        # The second stage skips the k-APs that end in [1, 960].  A range's
+        # m misses take ceil(m / slice rows) slices of whole groups but the
+        # last, whose group counts differ by at most one, so none is left
+        # short: at 4,800 words (slices of up to three groups) one or two
+        # workers' ranges of five groups cut their misses 2 + 2 groups
         k, n, samples, seed = 16, 1600, 700, 5
         ids = np.arange(samples, dtype=np.uint64)
         words = _philox.words(seed, ids, n // 64)
         one_pass = int(montecarlo.batch_has_mono_ap(words, n, k).sum())
-        detected = []  # per detection call: its n, rows and skipped prefix
+        detected = []  # per detection call: its thread, n, rows and skipped prefix
         detect, resume = montecarlo.batch_has_mono_ap, montecarlo._has_mono
 
         def counted(rows, n, k):
-            detected.append((n, rows.shape[0], 0))
+            detected.append((threading.get_ident(), n, rows.shape[0], 0))
             return detect(rows, n, k)
 
         def resumed(rows, n, k, done):
-            detected.append((n, rows.shape[0], done))
+            detected.append((threading.get_ident(), n, rows.shape[0], done))
             return resume(rows, n, k, done)
 
         monkeypatch.setattr(montecarlo, "batch_has_mono_ap", counted)
         monkeypatch.setattr(montecarlo, "_has_mono", resumed)
         monkeypatch.setattr(montecarlo, "_MIN_SHARE_BITS", 1)
-        monkeypatch.setattr(coloring, "_KERNEL_WORDS", 1920)
-        assert estimate_prob(k, n, samples, seed, workers=workers).successes == one_pass
-        first = [rows for m, rows, done in detected if m == 960 and done == 0]
-        second = [rows for m, rows, done in detected if m == n and done == 960]
-        assert len(first) + len(second) == len(detected)
-        assert max(first) == min(128, -(-samples // workers))
-        assert max(second) == 64
-        assert len(second) > len(first)
+        for budget, range_rows, slice_rows in ((1920, 128, 64), (4800, 320, 192)):
+            detected.clear()
+            monkeypatch.setattr(coloring, "_KERNEL_WORDS", budget)
+            assert estimate_prob(k, n, samples, seed, workers=workers).successes == one_pass
+            first = [rows for _, m, rows, done in detected if m == 960 and done == 0]
+            second = [rows for _, m, rows, done in detected if m == n and done == 960]
+            assert len(first) + len(second) == len(detected)
+            assert max(first) == min(range_rows, -(-samples // workers))
+            assert budget > 1920 or len(second) > len(first)
+            # each range's misses follow its first stage on its thread
+            slices = {}
+            for thread, m, rows, _ in detected:
+                if m == 960:
+                    slices.setdefault(thread, []).append([])
+                else:
+                    slices[thread][-1].append(rows)
+            for cut in (c for per_thread in slices.values() for c in per_thread if c):
+                groups = [-(-rows // 64) for rows in cut]
+                assert len(cut) == -(-sum(cut) // slice_rows), cut
+                assert all(rows % 64 == 0 for rows in cut[:-1]), cut
+                assert max(groups) - min(groups) <= 1, cut
 
     @pytest.mark.parametrize("k, n, samples", [(12, 700, 3000), (14, 1500, 1200)])
     def test_repacks_keep_estimates(self, monkeypatch, k, n, samples):
@@ -538,6 +539,15 @@ class TestKernelBudget:
         assert estimate_prob(20, 4700, 5000, 1, workers=2) == ref
         assert sorted(ranges) == [(0, 2500), (2500, 5000)]
         assert threading.get_ident() not in threads
+
+
+def _sample_ids(seed, count, words):
+    """The ids below ``count`` of the streams of ``seed`` whose first words
+    are the rows of ``words``."""
+    drawn = _philox.words(seed, np.arange(count, dtype=np.uint64), words.shape[1])
+    index = {row.tobytes(): i for i, row in enumerate(drawn)}
+    assert len(index) == count
+    return [index[row.tobytes()] for row in words]
 
 
 class TestThresholdSearch:
@@ -766,19 +776,9 @@ class TestThresholdSearch:
         calls = []  # per kernel call: n, the sample ids, their first hits
         first_hits = montecarlo._first_hits
 
-        def sample_ids(b, n, samples):
-            # each sample's coloring of [1, n], matched to its stream id
-            cols = np.unpackbits(b.view(np.uint8), axis=1, bitorder="little")
-            ids = np.arange(8 * 600, dtype=np.uint64)
-            words = _philox.words(seed, ids, -(-n // 64))
-            rows = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-            index = {r[:n].tobytes(): i for i, r in enumerate(rows)}
-            assert len(index) == ids.size
-            return [index[c.tobytes()] for c in cols.T[:samples]]
-
-        def wrapped(b, n, k, samples, *, done=0):
-            out = first_hits(b, n, k, samples, done=done)
-            calls.append((n, sample_ids(b, n, samples), out.tolist()))
+        def wrapped(words, n, k, done=0):
+            out = first_hits(words, n, k, done)
+            calls.append((n, _sample_ids(seed, 8 * 600, words), out.tolist()))
             return out
 
         ref = threshold_search(12, 0.5, 600, seed)
@@ -800,15 +800,10 @@ class TestThresholdSearch:
         seed, samples = 3, 600
         calls = []  # per kernel call: n and the sample ids it detects
         first_hits = montecarlo._first_hits
-        ids = np.arange(8 * samples, dtype=np.uint64)
 
-        def wrapped(b, n, k, count, *, done=0):
-            cols = np.unpackbits(b.view(np.uint8), axis=1, bitorder="little").T
-            words = _philox.words(seed, ids, -(-n // 64))
-            rows = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-            index = {r[:n].tobytes(): i for i, r in enumerate(rows)}
-            calls.append((n, {index[c.tobytes()] for c in cols[:count]}))
-            return first_hits(b, n, k, count, done=done)
+        def wrapped(words, n, k, done=0):
+            calls.append((n, set(_sample_ids(seed, 8 * samples, words))))
+            return first_hits(words, n, k, done)
 
         ref = threshold_search(12, 0.5, samples, seed)
         monkeypatch.setattr(montecarlo, "_first_hits", wrapped)

@@ -72,7 +72,7 @@ class TestExactProbMono:
         def no_chunks(n):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(probability, "_coloring_chunks", no_chunks)
+        monkeypatch.setattr(coloring, "_coloring_chunks", no_chunks)
         with pytest.raises(ValueError, match="architectural limit 63"):
             exact_prob_mono(3, 64, cap=64)
 
