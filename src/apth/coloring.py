@@ -40,6 +40,7 @@ scans over element tuples is asserted by the test suite.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -52,6 +53,21 @@ from .family import APFamily
 WORD_BITS = 64
 
 _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _check_byteorder(byteorder: str) -> None:
+    """Refuse a host that is not little-endian: the kernel views native
+    words as bytes (``_bitsliced``'s slabs and matrix, ``_has_mono``'s hit
+    words), which on a big-endian host would permute the samples within
+    each word and give wrong results with no error."""
+    if byteorder != "little":
+        raise ImportError(
+            f"apth needs a little-endian host; this one is {byteorder}-endian"
+        )
+
+
+_check_byteorder(sys.byteorder)
+
 
 def _word_count(n: int) -> int:
     return -(-n // WORD_BITS)

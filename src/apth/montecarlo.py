@@ -19,23 +19,24 @@ it scans only the k-APs that end past it.  Every detection hands the
 kernel rows of words, and it drops the samples that have hit as it goes
 (see ``apth.coloring``).
 
-The same prefix property lets ``threshold_search`` carry what it learns
-from point to point: a sample with a monochromatic k-AP in [1, n] has one
-in every longer prefix, and a sample without one has none in any shorter
-prefix, so its status at every n is fixed by its first hit, the smallest
-n whose prefix holds one.  Search points detect first hits, not just
-hits: a sample that hits keeps its exact first hit and is never detected
-again, and a sample that misses keeps the largest n at which it is known
-to miss.  A search point detects only the samples that have not hit and
-are not known to miss at its n.  None of those hits at or before the
-smallest of their known misses, so detection resumes there, scanning only
-the k-APs that end past it.  A budget doubling detects its new samples
-once, on [1, hi] of the bracket.  Points carry words as well: each
-sample keeps the words of its stream generated so far, up to a bounded
-store (``_STORE_WORDS``), and a point generates only the words past the
-shortest stored prefix among its samples (one that stores more has the
-extra generated again), so a point below one already run at its budget
-generates none and detects none.
+The same prefix property splits ``threshold_search`` in two.  A sample
+with a monochromatic k-AP in [1, n] has one in every longer prefix, and a
+sample without one has none in any shorter prefix, so its status at every
+n is fixed by its first hit N_i, the smallest n whose prefix holds one,
+and every estimate is a count of first hits: p_hat(n, m) = #{i < m : N_i
+<= n} / m.  The walk (``_walk``) reads those counts and nothing else.
+The record (``_Samples``) answers them: a sample that hits keeps its
+exact first hit and is never detected again, and a sample that misses
+keeps the largest n at which it is known to miss.  A count detects only
+the samples that have not hit and are not known to miss at its n, from
+the smallest of their known misses on, as none of them hits before it.
+A budget doubling detects its new samples once, on [1, hi] of the
+bracket.  The record keeps words as well: each sample keeps the words of
+its stream generated so far, up to a bounded store (``_STORE_WORDS``),
+and a count generates only the words past the shortest stored prefix
+among its samples (one that stores more has the extra generated again),
+so a point below one already run at its budget generates none and
+detects none.
 
 ``scaling_report`` carries the same record from each k to k+1, as every
 k reads the same streams.  A monochromatic (k+1)-AP holds a monochromatic
@@ -368,32 +369,30 @@ def threshold_search(
 ) -> ThresholdResult:
     """Locate the n at which the estimated mono probability crosses target.
 
-    One bracket routine keeps one invariant, p_hat(lo) < target <=
-    p_hat(hi): it steps lo down while p_hat(lo) reaches the target, steps
-    hi up while p_hat(hi) falls short (refusing to pass ``ceiling``), then
-    bisects to the stopping width max(1, ceil(0.01 n)).  The scaling
-    analysis consumes log2(n_star), so sub-percent precision would be
-    wasted sampling.  At the first budget both ends start at
-    min(max(k, lower_scale/4), ceiling), and the steps halve lo and
-    double hi.  If the Wilson intervals at both final endpoints still
-    contain the target, the per-point budget is doubled (up to 8x) and
-    the routine restores the bracket in steps of that width before
-    bisecting again.  Coupling of estimates across n (see the module
-    docstring) keeps the invariant exact at each budget.
+    The walk keeps one invariant, p_hat(lo) < target <= p_hat(hi): it
+    steps lo down while p_hat(lo) reaches the target, steps hi up while
+    p_hat(hi) falls short (refusing to pass ``ceiling``), then bisects to
+    the stopping width max(1, ceil(0.01 n)).  The scaling analysis
+    consumes log2(n_star), so sub-percent precision would be wasted
+    sampling.  At the first budget both ends start at min(max(k,
+    lower_scale/4), ceiling), and the steps halve lo and double hi.  If
+    the Wilson intervals at both final endpoints still contain the
+    target, the per-point budget is doubled (up to 8x) and the walk
+    restores the bracket in steps of that width before bisecting again.
+    Coupling of estimates across n (see the module docstring) keeps the
+    invariant exact at each budget.
 
-    Each sample keeps its exact first hit once a point has seen it hit,
-    and otherwise the largest n at which it is known to miss.  A point
-    (n, m) detects, on [1, n], only those of its m samples that have not
-    hit and are not known to miss at n, from the smallest of their known
-    misses on, and generates only the words past those that earlier
-    points kept (see the module docstring).  A budget doubling detects
-    its new samples once, at the bracket's hi.  The trace holds exactly the
-    ``estimate_prob`` results the points would give.  ``ceiling``, at
-    least 1, defaults to ``coloring._MATRIX_WORDS``, the widest coloring
-    whose one-group matrix the detection budget admits, so a runaway
-    search stops with SearchCeilingError before its estimates refuse n.
-    ``samples`` above ``_SEARCH_SAMPLES`` (2^21) are refused before
-    anything is allocated, as ``scaling_report`` refuses them.
+    The walk reads only how many of a point's m samples hit on [1, n].
+    The record of the samples answers that, detecting only those whose
+    first hit it does not know yet, and generating only the words that
+    earlier points did not keep (see the module docstring).  The trace
+    holds exactly the ``estimate_prob`` results the points would give.
+    ``ceiling``, at least 1, defaults to ``coloring._MATRIX_WORDS``, the
+    widest coloring whose one-group matrix the detection budget admits,
+    so a runaway search stops with SearchCeilingError before its
+    estimates refuse n.  ``samples`` above ``_SEARCH_SAMPLES`` (2^21) are
+    refused before anything is allocated, as ``scaling_report`` refuses
+    them.
 
     Every point runs on one pool of ``workers`` threads; results never
     depend on ``workers``.
@@ -470,53 +469,40 @@ class _Samples:
                 self.have[rows] = kept
         return words
 
-
-def _search(
-    k: int,
-    target: float,
-    samples: int,
-    run,
-    ceiling: int | None,
-    known: _Samples,
-) -> ThresholdResult:
-    """``threshold_search`` of checked arguments, detecting through the
-    ``run`` of a ``_runner`` and reading and updating what ``known``
-    holds of each sample (see ``scaling_report`` for what it may hold on
-    entry)."""
-    if ceiling is None:
-        ceiling = coloring._MATRIX_WORDS
-    seed = known.seed
-    cache: dict[tuple[int, int], ProbEstimate] = {}
-    known.hit[:] = False
-
-    def detect(n: int, rows: np.ndarray) -> int:
-        """Record the first hits on [1, n] of the undecided samples ``rows``,
-        and return how many hit; none hits on [1, min(miss_to)], so only
-        later ends are scanned.  Threads detect disjoint rows."""
-        done = max(0, int(known.miss_to[rows].min()))
-        first = _first_hits(known.colorings(n, rows), n, k, done)
-        known.hit[rows] = first <= n
-        known.miss_to[rows] = first - 1
-        return int(np.count_nonzero(first <= n))
-
-    def successes(n: int, m: int) -> int:
-        """How many of the first m samples hit on [1, n], detecting the undecided."""
+    def successes(self, n: int, m: int, k: int, run) -> int:
+        """How many of the first m samples hit on [1, n] at k.  Those still
+        undecided, not hit and not known to miss at n, are detected through
+        ``run`` (a ``_runner``'s): none of them hits on [1, min(miss_to)],
+        so only later ends are scanned, and each leaves with its exact
+        first hit or a known miss at n.  Threads detect disjoint rows."""
         _check_matrix(n, WORD_BITS)  # refuse what estimate_prob refuses
-        known.grow(m, n)
-        ids = np.flatnonzero(~known.hit[:m] & (known.miss_to[:m] < n))
-        hits = int(np.count_nonzero(known.hit[:m] & (known.miss_to[:m] < n)))
-        if ids.size:
-            hits += run(lambda lo, hi: detect(n, ids[lo:hi]), ids.size, n)
-        return hits
+        self.grow(m, n)
+        ids = np.flatnonzero(~self.hit[:m] & (self.miss_to[:m] < n))
+        hits = int(np.count_nonzero(self.hit[:m] & (self.miss_to[:m] < n)))
+
+        def detect(lo: int, hi: int) -> int:
+            rows = ids[lo:hi]
+            done = max(0, int(self.miss_to[rows].min()))
+            first = _first_hits(self.colorings(n, rows), n, k, done)
+            self.hit[rows] = first <= n
+            self.miss_to[rows] = first - 1
+            return int(np.count_nonzero(first <= n))
+
+        return hits + (run(detect, ids.size, n) if ids.size else 0)
+
+
+def _walk(
+    k: int, target: float, samples: int, ceiling: int, count, seed: int
+) -> ThresholdResult:
+    """The walk of ``threshold_search`` over ``count(n, m)``, the hits
+    among the first m samples on [1, n]; it reads nothing else.  Each
+    point is recorded once, and the record is the trace."""
+    points: dict[tuple[int, int], ProbEstimate] = {}
 
     def estimate(n: int, m: int) -> ProbEstimate:
-        """The point (n, m), recorded once; the record is the trace."""
-        if (n, m) not in cache:
-            cache[n, m] = ProbEstimate.from_counts(k, n, m, successes(n, m), seed)
-        return cache[n, m]
-
-    def p_hat(n: int, m: int) -> float:
-        return estimate(n, m).p_hat
+        if (n, m) not in points:
+            points[n, m] = ProbEstimate.from_counts(k, n, m, count(n, m), seed)
+        return points[n, m]
 
     def undecided(n: int, m: int) -> bool:
         e = estimate(n, m)
@@ -528,15 +514,15 @@ def _search(
     def bracket(lo: int, hi: int, m: int, down, up) -> tuple[int, int]:
         """Step lo by ``down`` and hi by ``up`` until p_hat(lo) < target
         <= p_hat(hi), then bisect to within step(hi)."""
-        while p_hat(lo, m) >= target:  # reaches 0 at n = k-1 at the latest
+        while estimate(lo, m).p_hat >= target:  # reaches 0 at n = k-1 at the latest
             lo, hi = max(k - 1, down(lo)), lo
-        while p_hat(hi, m) < target:
+        while estimate(hi, m).p_hat < target:
             if hi >= ceiling:
                 raise SearchCeilingError(k, target, ceiling)
             lo, hi = hi, min(up(hi), ceiling)
         while hi - lo > step(hi):
             mid = (lo + hi) // 2
-            if p_hat(mid, m) >= target:
+            if estimate(mid, m).p_hat >= target:
                 hi = mid
             else:
                 lo = mid
@@ -547,7 +533,7 @@ def _search(
     lo, hi = bracket(n0, n0, m, lambda n: n // 2, lambda n: 2 * n)
     while m < 8 * samples and undecided(lo, m) and undecided(hi, m):
         m *= 2
-        successes(hi, m)  # the new samples' first hits on [1, hi], in one detection
+        count(hi, m)  # the new samples' first hits on [1, hi], in one detection
         # estimates move at the new budget: restore the bracket in steps
         lo, hi = bracket(lo, hi, m, lambda n: n - step(n), lambda n: n + step(n))
 
@@ -559,8 +545,21 @@ def _search(
         bracket_high=hi,
         samples_per_point=samples,
         seed=seed,
-        trace=tuple((n, e) for (n, _), e in cache.items()),
+        trace=tuple((n, e) for (n, _), e in points.items()),
     )
+
+
+def _search(
+    k: int, target: float, samples: int, run, ceiling: int | None, known: _Samples
+) -> ThresholdResult:
+    """``threshold_search`` of checked arguments: the walk over the counts
+    of ``known``, which detects through the ``run`` of a ``_runner`` (see
+    ``scaling_report`` for what it may hold on entry)."""
+    if ceiling is None:
+        ceiling = coloring._MATRIX_WORDS
+    known.hit[:] = False
+    count = lambda n, m: known.successes(n, m, k, run)
+    return _walk(k, target, samples, ceiling, count, known.seed)
 
 
 def scaling_report(

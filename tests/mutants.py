@@ -128,13 +128,25 @@ MUTANTS = [
      "np.split(misses[1:], cuts)",
      "estimate_prob's stage-2 slice skips a miss"),
     ("montecarlo.py",
-     "known.miss_to[rows] = first - 1",
-     "known.miss_to[rows] = first",
+     "self.miss_to[rows] = first - 1",
+     "self.miss_to[rows] = first",
      "a known miss recorded at the first hit itself"),
     ("montecarlo.py",
      "cols = min(cols, _STORE_WORDS // rows)",
      "cols = min(cols, _STORE_WORDS)",
      "the word store's columns without its budget cap"),
+    ("montecarlo.py",
+     "if estimate(mid, m).p_hat >= target:",
+     "if estimate(mid, m).p_hat > target:",
+     "the walk's bisection skips a point whose p_hat equals the target"),
+    ("coloring.py",
+     "step = max(8, _SLAB_WORDS",
+     "step = max(7, _SLAB_WORDS",
+     "_bitsliced slabs of 7 rows overwrite each other's bytes past 2,048 words a row"),
+    ("probability.py",
+     "size <= 1 << (k - 1)",
+     "size < 1 << (k - 1)",
+     "bonferroni_strong false at a family of exactly 2^(k-1) members"),
 ]
 
 

@@ -139,26 +139,35 @@ def naive_greedy(k: int, n: int, seeded: bool = False,
 def estimate_driven_search(k, target, samples, seed, workers=1,
                            ceiling=1 << 32):
     """``threshold_search`` with every point run by ``estimate_prob`` from
-    scratch: its walk-down, doubling, bisection and budget escalation
-    verbatim (argument checks aside), the reference the search's
-    per-sample bookkeeping must reproduce."""
+    scratch, the reference the search's per-sample bookkeeping must
+    reproduce."""
+    from apth.montecarlo import estimate_prob
+
+    return naive_walk(
+        k, target, samples, seed, ceiling,
+        lambda n, m: estimate_prob(k, n, m, seed, workers=workers),
+    )
+
+
+def naive_walk(k, target, samples, seed, ceiling, estimate):
+    """``threshold_search``'s walk-down, doubling, bisection and budget
+    escalation verbatim (argument checks aside), over ``estimate(n, m)``,
+    the estimate from the first m samples on [1, n], called once a point
+    in the order the points are first read; its results, in that order,
+    are the trace.  Written with its own loops, apart from the library's
+    walk."""
     from apth.errors import SearchCeilingError
-    from apth.montecarlo import ThresholdResult, estimate_prob
+    from apth.montecarlo import ThresholdResult
     from apth.probability import threshold_scale_lower
 
     trace = []
     cache = {}
 
-    def estimate(n, m):
-        key = (n, m)
-        if key not in cache:
-            e = estimate_prob(k, n, m, seed, workers=workers)
-            cache[key] = e
-            trace.append((n, e))
-        return cache[key]
-
     def p_hat(n, m):
-        return estimate(n, m).p_hat
+        if (n, m) not in cache:
+            cache[n, m] = estimate(n, m)
+            trace.append((n, cache[n, m]))
+        return cache[n, m].p_hat
 
     def step(n):
         return max(1, -(-n // 100))
@@ -194,7 +203,7 @@ def estimate_driven_search(k, target, samples, seed, workers=1,
     lo, hi = bisect(lo, hi, m)
 
     while m < 8 * samples:
-        e_lo, e_hi = estimate(lo, m), estimate(hi, m)
+        e_lo, e_hi = cache[lo, m], cache[hi, m]
         undecided = (
             e_lo.ci_low <= target <= e_lo.ci_high
             and e_hi.ci_low <= target <= e_hi.ci_high

@@ -285,6 +285,11 @@ class TestBounds:
         assert obj["p0_upper"]["s"] == 2660
         assert abs(obj["p0_upper"]["value"] - 0.6066) < 2e-4
 
+    def test_bonferroni_strong_at_its_boundary(self, capsys):
+        # the large-difference family of [1, 540] holds 2^(k-1) = 256 members
+        code, out, _ = run(capsys, "bounds", "--k", "9", "--n", "540", "--f", "1")
+        assert code == 0 and '"bonferroni_strong":true' in out
+
     def test_lower_scale_first_moment(self, capsys):
         code, out, _ = run(capsys, "bounds", "--k", "10", "--g", "0.5")
         obj = json.loads(out)

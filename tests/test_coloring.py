@@ -681,6 +681,13 @@ class TestMonoFreeFrontier:
             assert 1 - free == probability.exact_prob_mono(k, n), n
 
 
+def test_refuses_big_endian_hosts():
+    # checked at import; a big-endian host would permute each word's samples
+    coloring._check_byteorder("little")
+    with pytest.raises(ImportError, match="little-endian host; this one is big-endian"):
+        coloring._check_byteorder("big")
+
+
 class TestBitSliced:
     _random_words = TestBatchKernel._random_words
 
@@ -715,6 +722,19 @@ class TestBitSliced:
             # bits above n are ignored
             assert batch_has_mono_ap(drawn, n, k).tolist() == has.tolist()
             assert batch_count_mono_aps(drawn, n, k).tolist() == counts.tolist()
+
+    def test_slabs_of_eight_rows_wider_than_a_slab(self):
+        # a row of [1, 140000] is 2,188 words, more than an eighth of
+        # _SLAB_WORDS, so each slab holds the fewest rows a byte of the
+        # group takes, 8: the second slab must land in the second byte
+        n, rows = 140_000, 16
+        words = _philox.words(5, np.arange(rows, dtype=np.uint64), -(-n // 64))
+        assert 8 * words.shape[1] > coloring._SLAB_WORDS
+        # element i+1 of row r at bit r % 64 of column r // 64
+        slots = np.arange(rows, dtype=np.uint64)
+        bits = _bits(words, n).T.astype(np.uint64) << slots
+        expected = np.bitwise_or.reduce(bits, axis=1).reshape(n, 1)
+        assert np.array_equal(_bitsliced(words, n), expected)
 
     def test_padding_slots_never_count(self, scans):
         # 70 all-blue rows: the 58 padding slots of the second group are

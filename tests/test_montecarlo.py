@@ -1,4 +1,7 @@
+import bisect
+import itertools
 import math
+import random
 import statistics
 import sys
 import threading
@@ -7,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apth import _philox, coloring, montecarlo
@@ -26,7 +29,7 @@ from apth.probability import (
     markov_upper,
     mono_count_distribution,
 )
-from oracles import ap_tuples, estimate_driven_search, is_mono
+from oracles import ap_tuples, estimate_driven_search, is_mono, naive_walk
 
 
 class TestWilson:
@@ -826,6 +829,91 @@ class TestThresholdSearch:
         ns = [n for n, _ in res.trace]
         assert len(ns) == len(set((n, e.samples) for n, e in res.trace))
         assert res.n_star in ns
+
+
+#: Calls of a synthetic ``count`` after which it fails: a walk that never
+#: ends fails instead of hanging.  The longest walk of the laws below
+#: makes a few hundred.
+_COUNT_CALLS = 10_000
+
+
+def _counts(first_hits: list[int]):
+    """``count(n, m)`` = #{i < m : first_hits[i] <= n}, the count a search
+    reads from its record, with no detection behind it."""
+    calls = itertools.count(1)
+    ordered = {}
+
+    def count(n, m):
+        assert next(calls) < _COUNT_CALLS, "the walk does not end"
+        assert m <= len(first_hits)
+        if m not in ordered:
+            ordered[m] = sorted(first_hits[:m])
+        return bisect.bisect_right(ordered[m], n)
+
+    return count
+
+
+@st.composite
+def _first_hit_laws(draw):
+    """(k, target, samples, ceiling, first hits of 8 x samples samples).
+
+    Each sample's first hit is drawn from up to 16 values of at least k,
+    as no real sample hits on [1, k - 1]: so ties and plateaus are
+    common, and k itself and values past the ceiling occur too.  In
+    runs of samples / 4 equal first hits, with samples a multiple of 4,
+    a point's p_hat often equals a target of 1/4, 1/2 or 3/4 exactly."""
+    k = draw(st.integers(3, 12))
+    samples = 4 * draw(st.integers(1, 12))
+    target = draw(st.sampled_from([0.25, 0.5, 0.75]) | st.floats(0.05, 0.95))
+    ceiling = draw(st.integers(1, 3000) | st.just(coloring._MATRIX_WORDS))
+    values = draw(
+        st.lists(st.integers(k, k + 60) | st.integers(k, 3000), min_size=1, max_size=16)
+    )
+    run = draw(st.sampled_from([1, samples // 4]))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    hits = [v for _ in range(8 * samples // run) for v in [rnd.choice(values)] * run]
+    return k, target, samples, ceiling, hits
+
+
+def _ends(walk):
+    """What a walk returns, or the ceiling it stops at."""
+    try:
+        return walk()
+    except SearchCeilingError as exc:
+        return "ceiling", exc.k, exc.target, exc.ceiling
+
+
+class TestWalk:
+    """The search's walk reads only counts of first hits, so synthetic laws
+    drive it with no detection, against the oracle's naive walk."""
+
+    @settings(max_examples=300, deadline=None)
+    # p_hat sits exactly at the target from n = 50 to 199 at every budget:
+    # n* is 50, where it first reaches it
+    @example(law=(3, 0.5, 4, coloring._MATRIX_WORDS, [50, 50, 200, 200] * 8))
+    @given(law=_first_hit_laws())
+    def test_walk_matches_naive_walk(self, law):
+        k, target, samples, ceiling, hits = law
+        seed = 7
+        got = _ends(
+            lambda: montecarlo._walk(k, target, samples, ceiling, _counts(hits), seed)
+        )
+        count = _counts(hits)
+        ref = _ends(lambda: naive_walk(
+            k, target, samples, seed, ceiling,
+            lambda n, m: ProbEstimate.from_counts(k, n, m, count(n, m), seed),
+        ))
+        assert got == ref
+
+    def test_walk_reads_nothing_but_counts(self):
+        # no name that the walk or its nested functions load reaches the
+        # record, the kernel, the generator or numpy
+        names, codes = set(), [montecarlo._walk.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes += [c for c in code.co_consts if hasattr(c, "co_names")]
+        assert not names & {"np", "coloring", "_philox", "_Samples", "_first_hits"}
 
 
 class TestScalingReport:

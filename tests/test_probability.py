@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from apth import coloring, probability
 from apth.errors import BruteForceCapError
-from apth.family import APFamily, large_diff_family
+from apth.family import APFamily, large_diff_family, large_diff_family_size
 from apth.probability import (
     bonferroni_lower,
     clump_threshold,
@@ -324,6 +324,13 @@ class TestBlockBound:
         assert rep.value == pytest.approx(0.6066, abs=2e-4)
         assert rep.flags["family_size_in_window"]
         assert not rep.flags["bonferroni_strong"]
+
+    def test_bonferroni_strong_at_its_boundary(self):
+        # one block of s = n: the family holds exactly 2^(k-1) members at
+        # (9, 540), which is still strong, and more at (9, 549)
+        assert large_diff_family_size(9, 540) == 1 << 8 < large_diff_family_size(9, 549)
+        assert p0_upper_blocks(9, 540, 1).flags["bonferroni_strong"]
+        assert not p0_upper_blocks(9, 549, 1).flags["bonferroni_strong"]
 
     def test_single_block_reduction(self):
         import math
