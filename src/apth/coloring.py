@@ -20,8 +20,14 @@ bit-sliced again into a narrower matrix, and the scan resumes at the next
 d on it.
 
 The Monte Carlo engine and the scalar ``Coloring`` API hand this kernel
-rows; the exact oracles hand it only n, and their chunks of every
-coloring of [1, n] are built here element-major, with no rows to slice.
+rows; the exact oracles hand it only n.  Their enumeration is split at a
+cut m <= n, the widest whose colorings fit one kernel call: every
+coloring of [1, m] with element 1 red, the base, is built here
+element-major once, with no rows to slice, and the kernel's sinks read
+the k-APs inside [1, m] off it.  Each coloring of the top elements
+m+1..n then reads only the k-APs that end past m: such a k-AP is
+monochromatic where its top elements are one color and its base elements
+are that color too, one precomputed row of the base per k-AP and color.
 No other module builds or reads an element-major matrix.  The kernel has
 one path and three sinks for its chains.  Besides detection, it counts
 monochromatic k-APs per sample: the run rows of every d are summed
@@ -42,12 +48,11 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from . import _philox
-from .progressions import _check_k, _check_n, count_aps, element_mask
+from .progressions import _DiffRange, _check_k, _check_n, count_aps, element_mask
 from .family import APFamily
 
 WORD_BITS = 64
@@ -467,10 +472,13 @@ def _carry_save(
         x, spare, used = spare, x, nxt
 
 
-def _resolve(held: np.ndarray, heights: list[int]) -> np.ndarray:
+def _resolve(
+    held: np.ndarray, heights: list[int], planes: np.ndarray | None = None
+) -> np.ndarray:
     """The bit planes (least significant first) of a carry-save total,
-    by one ripple-carry pass up the weights."""
-    planes = np.empty((held.shape[0], held.shape[2]), dtype=np.uint64)
+    by one ripple-carry pass up the weights, in ``planes`` if given."""
+    if planes is None:
+        planes = np.empty((held.shape[0], held.shape[2]), dtype=np.uint64)
     carry = np.zeros(held.shape[2], dtype=np.uint64)
     for w, plane in enumerate(planes):
         plane[...] = carry
@@ -487,11 +495,14 @@ def _resolve(held: np.ndarray, heights: list[int]) -> np.ndarray:
 _RUN_WORDS = 1 << 14
 
 
-def _count_buffers(n: int, k: int, groups: int) -> tuple[np.ndarray, ...]:
-    """Scratch for ``_mono_counts`` on up to ``groups`` columns, which a
-    caller counting many chunks may allocate once and pass to each call:
-    the run rows, the next weight's stack, and the carry-save total."""
-    rows = max(n, _RUN_WORDS // max(groups, 1)) + 2
+def _count_buffers(
+    n: int, k: int, groups: int, least: int = 0
+) -> tuple[np.ndarray, ...]:
+    """Scratch for ``_mono_counts`` on up to ``groups`` columns of [1, n],
+    or of a base of it, which a caller may allocate once and reuse: the
+    run rows, at least ``least`` of them, the next weight's stack, and the
+    carry-save total."""
+    rows = max(n, least, _RUN_WORDS // max(groups, 1)) + 2
     planes = max(1, count_aps(k, n).bit_length())
     return (
         np.empty((rows, groups), dtype=np.uint64),
@@ -661,8 +672,13 @@ def batch_count_mono_aps(words: np.ndarray, n: int, k: int) -> np.ndarray:
 
 # --- exact enumeration ------------------------------------------------------
 #
-# The exact oracles' chunks go to the kernel bodies, not to the public
+# The exact oracles' matrices go to the kernel bodies, not to the public
 # functions on rows, which ``bench/tracing.py`` counts as detection.
+#
+# Coloring y of [1, n] (element j+2 red iff bit j of y is set) is lane
+# y % 2^(m-1) of the base [1, m], m = _cut(n), under the top coloring
+# t = y >> (m-1) of the elements m+1..n: element m+1+j is red iff bit j of
+# t is set.
 
 #: Elements 2..7 of the 64 colorings of one group: element j+2 of the
 #: coloring in bit s is bit j of s (0xAAAA..., 0xCCCC..., 0xF0F0..., ...).
@@ -672,66 +688,137 @@ _LOW_ELEMENTS = np.array(
 )
 
 
-def _coloring_chunks(n: int) -> Iterator[tuple[np.ndarray, int]]:
-    """All colorings of [1, n] with element 1 red, as element-major chunks,
-    each with its number of colorings.
+def _cut(n: int) -> int:
+    """The largest m <= n whose base, 2^(m-7) groups (one for m <= 7),
+    fits ``_kernel_groups(m)``: 19 for every n >= 19 at the default
+    budget, and never less than min(n, 7)."""
+    m = n
+    while 1 << max(0, m - 7) > _kernel_groups(m):
+        m -= 1
+    return m
+
+
+def _base(m: int) -> np.ndarray:
+    """All colorings of [1, m] with element 1 red, as one element-major
+    matrix.
 
     Coloring y (element j+2 red iff bit j of y is set) sits in bit y % 64
     of group y // 64.  So element 1 is all ones, elements 2..7 are the
     fixed ``_LOW_ELEMENTS`` words, and every higher element is all ones or
-    all zeros by one bit of the group index.  For n < 7 the single group
-    holds fewer than 64 colorings; its other slots are padding.  A chunk
-    holds the kernel budget's groups, ``_kernel_groups(n)``: 5,461 groups
-    (349,504 colorings) at n = 24.
-
-    Every chunk is written into one buffer, so a chunk is valid only until
-    the next is requested; a caller that keeps chunks copies them.  Freed
-    and fresh chunk-sized blocks would otherwise alternate with whatever
-    scratch the caller holds, taking new pages for most chunks.
+    all zeros by one bit of the group index.  For m < 7 the single group
+    holds fewer than 64 colorings; its other slots are padding.
     """
-    half = 1 << (n - 1)
-    groups = -(-half // 64)
-    low = min(n, 7)
-    one = np.uint64(1)
-    step = min(_kernel_groups(n), groups)
-    buf = np.empty((n, step), dtype=np.uint64)
-    buf[0] = _FULL_WORD
-    buf[1:low] = _LOW_ELEMENTS[: low - 1, None]
-    for lo in range(0, groups, step):
-        g = np.arange(lo, min(lo + step, groups), dtype=np.uint64)
-        chunk = buf[:, : g.size]
-        high = chunk[low:]
-        np.right_shift(g, np.arange(n - low, dtype=np.uint64)[:, None], out=high)
-        high &= one
-        np.negative(high, out=high)  # all ones where the bit is set
-        yield chunk, min(64 * g.size, half)
+    low = min(m, 7)
+    g = np.arange(1 << (m - low), dtype=np.uint64)
+    b = np.empty((m, g.size), dtype=np.uint64)
+    b[0] = _FULL_WORD
+    b[1:low] = _LOW_ELEMENTS[: low - 1, None]
+    high = b[low:]
+    np.right_shift(g, np.arange(m - low, dtype=np.uint64)[:, None], out=high)
+    high &= np.uint64(1)
+    np.negative(high, out=high)  # all ones where the bit is set
+    return b
+
+
+def _ap_elements(k: int, n: int, m: int) -> np.ndarray:
+    """The (count, k) int64 elements of the k-APs of [1, n] that end past
+    element m, in (diff, start) order."""
+    starts, diffs = _DiffRange(k, n, 1, (n - 1) // (k - 1)).arrays()
+    elems = starts[:, None] + diffs[:, None] * np.arange(k)
+    return elems[elems[:, -1] > m]
+
+
+def _top_rows(b: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and top masks of ``members``, element rows of [1, n] that
+    each end past m, on the base ``b`` of [1, m].
+
+    Row i holds the lanes in which member i's elements <= m are all red,
+    and row M+i those in which they are all blue, for M members; a member
+    with no element <= m has all ones in both.  Bit j of mask i is set
+    iff element m+1+j is one of member i's.
+    """
+    m, count = len(b), len(members)
+    rows = np.full((2 * count, b.shape[1]), _FULL_WORD)
+    for i, e in enumerate(members):
+        low = b[e[e <= m] - 1]
+        if len(low):
+            np.bitwise_and.reduce(low, axis=0, out=rows[i])
+            np.bitwise_or.reduce(low, axis=0, out=rows[count + i])
+            np.invert(rows[count + i], out=rows[count + i])
+    top = members - (m + 1)
+    masks = (np.left_shift(1, top.clip(0)) * (top >= 0)).sum(axis=1)
+    return rows, masks
+
+
+def _selected(t: int, masks: np.ndarray) -> np.ndarray:
+    """Indices into ``_top_rows``' rows under top coloring t: the red rows
+    of the members whose top elements t colors all red, then the blue rows
+    of those it colors all blue."""
+    red = masks & t
+    return np.flatnonzero(np.concatenate((red == masks, red == 0)))
+
+
+def _union_colorings(b: np.ndarray, n: int, hits: np.ndarray, members: np.ndarray) -> int:
+    """How many colorings of [1, n] with element 1 red make some member
+    monochromatic, given ``hits``, the lanes of the base ``b`` of [1, m]
+    with a monochromatic member inside [1, m], and ``members``, the
+    element rows of those that end past m."""
+    m = len(b)
+    rows, masks = _top_rows(b, members)
+    valid = ~_padding(1 << (m - 1))
+    total = 0
+    for t in range(1 << (n - m)):
+        mono = np.bitwise_or.reduce(rows[_selected(t, masks)], axis=0)
+        mono |= hits
+        mono &= valid
+        total += int(np.bitwise_count(mono).sum())
+    return total
 
 
 def _mono_colorings(n: int, k: int) -> int:
     """How many colorings of [1, n] with element 1 red hold a
     monochromatic k-AP."""
-    hits = 0
-    for x, count in _coloring_chunks(n):
-        # the last chunk's padding slots past ``count`` are not reported
-        hits += int(np.bitwise_count(_any_mono(x, n, k, count)[0]).sum())
-    return hits
+    m = _cut(n)
+    b = _base(m)
+    hits = _any_mono(b, m, k, 1 << (m - 1))[0]
+    return _union_colorings(b, n, hits, _ap_elements(k, n, m))
 
 
 def _mono_count_histogram(n: int, k: int) -> np.ndarray:
     """hist[r], for r = 0..count_aps(k, n), is how many colorings of [1, n]
     with element 1 red hold exactly r monochromatic k-APs.
 
-    Per chunk, ``_mono_counts`` sums the run rows into bit planes with
-    carry-save adders, and ``_plane_histogram`` counts the colorings of
-    each value by a depth-first walk over the planes, one popcount per
-    value; the counts are never transposed to one word per coloring.
+    ``_mono_counts`` sums the run rows of the base into bit planes with
+    carry-save adders.  Per top coloring, the rows it selects are added
+    onto those planes by the same adders, and ``_plane_histogram`` counts
+    the colorings of each value by a depth-first walk over the planes of
+    several top colorings side by side, about ``_RUN_WORDS`` words, one
+    popcount per value; the counts are never transposed to one word per
+    coloring.
     """
     top = count_aps(k, n)
+    m = _cut(n)
+    b = _base(m)
+    groups = b.shape[1]
+    members = _ap_elements(k, n, m)
+    rows, masks = _top_rows(b, members)
+    runs, spare, held = _count_buffers(n, k, groups, len(members))
+    base = _mono_counts(b, m, k, (runs, spare, held))
+    del b  # the top colorings read only the rows and the base's planes
+    tops = 1 << (n - m)
+    side = min(tops, max(1, _RUN_WORDS // groups))
+    planes = np.empty((held.shape[0], side * groups), dtype=np.uint64)
     hist = np.zeros(top + 1, dtype=np.int64)
-    buffers = None
-    for x, count in _coloring_chunks(n):
-        buffers = buffers or _count_buffers(n, k, x.shape[1])
-        hist += _plane_histogram(_mono_counts(x, n, k, buffers), count, top)
+    for t in range(tops):
+        chosen = _selected(t, masks)
+        np.take(rows, chosen, axis=0, out=runs[: len(chosen)])
+        held[:, 0] = base
+        heights = [1] * len(held)
+        _carry_save(runs, len(chosen), held, heights, spare)
+        j = t % side
+        _resolve(held, heights, planes[:, j * groups : (j + 1) * groups])
+        if j == side - 1 or t == tops - 1:
+            hist += _plane_histogram(planes[:, : (j + 1) * groups], (j + 1) << (m - 1), top)
     return hist
 
 
@@ -740,11 +827,11 @@ def _member_mono_colorings(n: int, members: np.ndarray) -> int:
     ``members``, a matrix of elements of [1, n], monochromatic."""
     if not len(members):
         return 0
-    hits = 0
-    for x, count in _coloring_chunks(n):
+    m = _cut(n)
+    b = _base(m)
+    inside = members[:, -1] <= m
+    hits = np.zeros(b.shape[1], dtype=np.uint64)
+    for e in members[inside] - 1:
         # a member is mono where no element differs from its first
-        mono = np.zeros(x.shape[1], dtype=np.uint64)
-        for e in members - 1:
-            mono |= ~np.bitwise_or.reduce(x[e[1:]] ^ x[e[0]], axis=0)
-        hits += int(np.bitwise_count(mono & ~_padding(count)).sum())
-    return hits
+        hits |= ~np.bitwise_or.reduce(b[e[1:]] ^ b[e[0]], axis=0)
+    return _union_colorings(b, n, hits, members[~inside])

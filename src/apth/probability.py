@@ -1,9 +1,11 @@
 """Exact small-scale probability oracles and closed-form bound evaluators.
 
-The exact oracles count over all 2^n colorings of [1, n], which the
-``apth.coloring`` kernel enumerates (halved by fixing element 1 red, since
-complementation preserves monochromaticity); they are gated by a
-brute-force cap.  Results are exact integers / rationals.
+The exact oracles count over all 2^n colorings of [1, n], halved by
+fixing element 1 red, since complementation preserves monochromaticity.
+``apth.coloring`` enumerates them once per call: every coloring of a base
+[1, m] in one kernel matrix, then each coloring of the elements past m,
+which reads only the k-APs (or family members) that end past m.  They are
+gated by a brute-force cap.  Results are exact integers / rationals.
 
 The bound evaluators are plain double-precision formulas:
 

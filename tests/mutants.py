@@ -56,9 +56,17 @@ MUTANTS = [
      "        chain = _breaks(b, d, k, buf, done)",
      "_first_hits skips the largest d"),
     ("coloring.py",
-     "np.right_shift(g, np.arange(n - low, dtype=np.uint64)[:, None], out=high)",
-     "np.right_shift(g, np.arange(1, n - low + 1, dtype=np.uint64)[:, None], out=high)",
+     "np.right_shift(g, np.arange(m - low, dtype=np.uint64)[:, None], out=high)",
+     "np.right_shift(g, np.arange(1, m - low + 1, dtype=np.uint64)[:, None], out=high)",
      "the exact enumeration's high elements skip a bit of the group index"),
+    ("coloring.py",
+     "np.concatenate((red == masks, red == 0))",
+     "np.concatenate((red != 0, red == 0))",
+     "a top coloring whose top elements disagree still applies the k-AP's row"),
+    ("coloring.py",
+     "return elems[elems[:, -1] > m]",
+     "return elems[elems[:, -1] > m + 1]",
+     "the split drops the k-APs that end at the cut plus one"),
     ("coloring.py",
      "if high <= top:",
      "if high < top:",

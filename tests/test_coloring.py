@@ -757,35 +757,61 @@ class TestBitSliced:
 
     @pytest.mark.parametrize("groups_per_chunk", [1, 1 << 14])
     def test_enumerated_chunks_match_packed_rows(self, monkeypatch, groups_per_chunk):
-        # the exact oracles build element-major chunks directly; they must
-        # be the transpose of the one-word rows (y << 1) | 1 they enumerate
+        # the exact oracles split the row (y << 1) | 1 of [1, n] at the cut
+        # m: the low m - 1 bits of y pick a lane of the base, which is
+        # built element-major directly, and the high bits the top coloring
+        # t.  The base must be the transpose of the first 2^(m-1) rows, and
+        # for each t, the base's sinks plus the rows t selects must give
+        # the results of t's 2^(m-1) rows
         for n in range(1, 17):
             # a budget of groups_per_chunk groups of [1, n]
             monkeypatch.setattr(coloring, "_KERNEL_WORDS", groups_per_chunk * n)
+            m = coloring._cut(n)
+            half = 1 << (m - 1)
             y = np.arange(1 << (n - 1), dtype=np.uint64)
             rows = ((y << np.uint64(1)) | np.uint64(1)).reshape(-1, 1)
-            # each chunk overwrites the one before, so keep copies
-            chunks = [(x.copy(), c) for x, c in coloring._coloring_chunks(n)]
-            assert sum(count for _, count in chunks) == rows.shape[0]
-            groups = -(-rows.shape[0] // 64)
-            assert chunks[0][0].shape[1] == min(groups_per_chunk, groups)
-            got = np.concatenate([x for x, _ in chunks], axis=1)
-            valid = ~_padding(rows.shape[0])
-            assert np.array_equal(got & valid, _bitsliced(rows, n)), n
+            b = coloring._base(m)
+            assert b.shape[1] == -(-half // 64) <= coloring._kernel_groups(m)
+            valid = ~_padding(half)
+            assert np.array_equal(b & valid, _bitsliced(rows[:half], m)), n
             for k in range(3, 7):
-                has = np.concatenate([
-                    np.unpackbits(
-                        _any_mono(x, n, k, count)[0].view(np.uint8),
-                        count=count, bitorder="little",
+                members = coloring._ap_elements(k, n, m)
+                past = [ap for ap in ap_tuples(k, n) if ap[-1] > m]
+                assert [tuple(e) for e in members.tolist()] == past
+                top_rows, masks = coloring._top_rows(b, members)
+                hits = _any_mono(b, m, k, half)[0]
+                base = _plane_values(_mono_counts(b, m, k), half)
+                for t in range(1 << (n - m)):
+                    block = rows[t * half : (t + 1) * half]
+                    chosen = top_rows[coloring._selected(t, masks)]
+                    lanes = np.unpackbits(
+                        chosen.view(np.uint8), axis=1, count=half, bitorder="little"
                     )
-                    for x, count in chunks
-                ]).astype(bool)
-                counts = np.concatenate([
-                    _plane_values(_mono_counts(x, n, k), count)
-                    for x, count in chunks
-                ])
-                assert has.tolist() == batch_has_mono_ap(rows, n, k).tolist()
-                assert counts.tolist() == batch_count_mono_aps(rows, n, k).tolist()
+                    has = np.unpackbits(
+                        (hits | np.bitwise_or.reduce(chosen, axis=0)).view(np.uint8),
+                        count=half, bitorder="little",
+                    ).astype(bool)
+                    assert has.tolist() == batch_has_mono_ap(block, n, k).tolist()
+                    counts = base + lanes.sum(axis=0)
+                    assert counts.tolist() == batch_count_mono_aps(block, n, k).tolist()
+
+
+class TestEnumerationCut:
+    def test_default_budget_cuts_at_nineteen(self):
+        # 2^12 groups of [1, 19] fit 2^17 words; 2^13 of [1, 20] do not
+        cuts = [coloring._cut(n) for n in (1, 6, 7, 18, 19, 20, 24, 26)]
+        assert cuts == [1, 6, 7, 18, 19, 19, 19, 19]
+        assert coloring._base(19).shape == (19, 1 << 12)
+
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 12, 20])
+    def test_every_cut_has_a_budget(self, monkeypatch, n):
+        # the base of [1, m] is 2^(m-7) groups of m words, so a budget of
+        # exactly that cuts every n >= m at m; no cut is below min(n, 7)
+        for m in range(min(n, 7), n + 1):
+            monkeypatch.setattr(coloring, "_KERNEL_WORDS", m << max(0, m - 7))
+            assert coloring._cut(n) == m
+        monkeypatch.setattr(coloring, "_KERNEL_WORDS", 1)
+        assert coloring._cut(n) == min(n, 7)
 
 
 class TestAnyMonoSplit:
@@ -1035,11 +1061,12 @@ class TestPlaneHistogram:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 9])
     def test_single_group_chunks(self, n):
-        # below n = 7 the one group of the enumeration has padding slots
+        # below n = 7 the one group of the enumeration's base has padding
+        # slots
+        count = 1 << (n - 1)
         for k in range(3, n + 1):
             top = probability.count_aps(k, n)
-            for x, count in coloring._coloring_chunks(n):
-                planes = _mono_counts(x, n, k)
-                hist = _plane_histogram(planes, count, top)
-                expected = np.bincount(_plane_values(planes, count), minlength=top + 1)
-                assert hist.tolist() == expected.tolist(), (n, k)
+            planes = _mono_counts(coloring._base(n), n, k)
+            hist = _plane_histogram(planes, count, top)
+            expected = np.bincount(_plane_values(planes, count), minlength=top + 1)
+            assert hist.tolist() == expected.tolist(), (n, k)

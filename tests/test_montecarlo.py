@@ -103,6 +103,16 @@ class TestEstimateProb:
         est = estimate_prob(3, 5, 100_000, 42)
         assert abs(est.p_hat - p) <= 3 * standard_error(p, est.samples)
 
+    def test_standard_error_of_the_estimate(self):
+        est = estimate_prob(3, 6, 5000, 1)
+        assert 0 < est.p_hat < 1
+        assert est.standard_error() == standard_error(est.p_hat, est.samples)
+        assert est.standard_error() == pytest.approx(
+            math.sqrt(est.p_hat * (1 - est.p_hat) / 5000)
+        )
+        # a certain event has no spread
+        assert estimate_prob(3, 9, 1000, 1).standard_error() == 0.0
+
     def test_seed_changes_estimate(self):
         a = estimate_prob(3, 6, 5000, 1)
         b = estimate_prob(3, 6, 5000, 2)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from apth.probability import (
     threshold_scale_upper,
     union_mono_exact,
 )
-from apth.progressions import Progression, count_aps
+from apth.progressions import Progression, count_aps, enumerate_aps
 
 from oracles import (
     ap_tuples,
@@ -69,10 +70,10 @@ class TestExactProbMono:
 
     def test_refuses_past_the_word_width_before_enumerating(self, monkeypatch):
         # a raised cap still cannot index colorings past one 64-bit word
-        def no_chunks(n):
+        def no_base(m):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(coloring, "_coloring_chunks", no_chunks)
+        monkeypatch.setattr(coloring, "_base", no_base)
         with pytest.raises(ValueError, match="architectural limit 63"):
             exact_prob_mono(3, 64, cap=64)
 
@@ -271,9 +272,10 @@ class TestUnionExact:
 class TestChunkedEnumeration:
     @pytest.mark.parametrize("k, n", [(3, 12), (4, 13)])
     def test_many_chunks_match_naive(self, monkeypatch, k, n):
-        # dozens of one-group (64-coloring) chunks: every chunk boundary
-        # must neither drop nor repeat a coloring
+        # a one-group (64-coloring) base, cut at 7, and dozens of top
+        # colorings: no top coloring may drop or repeat a coloring
         monkeypatch.setattr(coloring, "_KERNEL_WORDS", n)
+        assert coloring._cut(n) == 7
         assert exact_prob_mono(k, n) == naive_prob_mono(k, n)
         assert mono_count_distribution(k, n).counts == naive_distribution(k, n)
         fam = large_diff_family(k, n)
@@ -281,12 +283,63 @@ class TestChunkedEnumeration:
         assert union_mono_exact(fam, n) == naive_union_count(aps, n)
 
     def test_narrower_last_chunk(self, monkeypatch):
-        # 32 groups in chunks of 3: the last chunk has 2 groups, is a view
-        # of the chunk buffer, and counts and detects in views of the
-        # scratch sized for the first
+        # a base of 4 groups (cut 9) and 8 top colorings, whose planes are
+        # walked 3 top colorings side by side: the last walk holds 2, and
+        # reads a view of the planes sized for the first
         monkeypatch.setattr(coloring, "_KERNEL_WORDS", 3 * 12)
+        monkeypatch.setattr(coloring, "_RUN_WORDS", 3 * 4)
+        assert coloring._cut(12) == 9
         assert mono_count_distribution(3, 12).counts == naive_distribution(3, 12)
         assert exact_prob_mono(3, 12) == naive_prob_mono(3, 12)
+
+
+class TestSplitEnumeration:
+    # every coloring of [1, n] is a coloring of the base [1, m] and one of
+    # the top elements m+1..n, for the cut m: the widest base within the
+    # kernel budget, which a budget of m << (m - 7) words sets to m
+
+    @pytest.mark.parametrize("n, ks", [
+        # n < 7: one cut, n, and a base group with padding slots
+        (3, (3,)),
+        (5, (3, 4, 5)),
+        (6, (3, 4, 5, 6)),
+        (7, (3, 5, 7)),
+        # cuts below k, where the base holds no k-AP
+        (9, (3, 4, 8, 9)),
+        # cuts at most n - k, where a k-AP lies wholly among the top
+        # elements and one top coloring fills it
+        (12, (3, 4, 5, 8, 12)),
+    ])
+    def test_every_cut_matches_naive(self, monkeypatch, n, ks):
+        rng = random.Random(n)
+        for k in ks:
+            aps = ap_tuples(k, n)
+            # a family with members inside every base and past it
+            chosen = sorted(rng.sample(range(len(aps)), len(aps) // 2 + 1))
+            fam = APFamily(k, n, [prog(aps[i]) for i in chosen])
+            expected = (
+                naive_prob_mono(k, n),
+                naive_distribution(k, n),
+                naive_union_count([aps[i] for i in chosen], n),
+            )
+            for m in range(min(n, 7), n + 1):
+                monkeypatch.setattr(coloring, "_KERNEL_WORDS", m << max(0, m - 7))
+                assert coloring._cut(n) == m
+                got = (
+                    exact_prob_mono(k, n),
+                    mono_count_distribution(k, n).counts,
+                    union_mono_exact(fam, n),
+                )
+                assert got == expected, (n, k, m)
+
+    def test_three_oracles_agree_at_the_cap(self):
+        # the default cap at the default budget: a base of [1, 19] and 7
+        # top elements, the widest split the oracles run
+        k, n = 6, probability.DEFAULT_BRUTE_CAP
+        assert n == 26 and coloring._cut(n) == 19
+        union = union_mono_exact(APFamily(k, n, enumerate_aps(k, n)), n)
+        assert union == exact_prob_mono(k, n) * (1 << n)
+        assert union == (1 << n) - mono_count_distribution(k, n).counts[0]
 
 
 class TestMomentBounds:
